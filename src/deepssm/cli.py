@@ -102,13 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path):
+def _load_config(path) -> dict:
     with open(path, "r") as handle:
-        return json.load(handle)
+        config = json.load(handle)
+    if not isinstance(config, dict):
+        raise ShapeMismatch("config must be a JSON object")
+    return config
 
 
 def _require(config: dict, key: str):
-    if not isinstance(config, dict) or key not in config:
+    if key not in config:
         raise ShapeMismatch(f"config is missing required key '{key}'")
     return config[key]
 
@@ -174,7 +177,7 @@ def _cmd_plan_depth(args) -> int:
 
 
 def _cmd_train_impulse(args) -> int:
-    config = _load_json(args.config)
+    config = _load_config(args.config)
     train_config = TrainConfig.from_json_dict(config.get("train", {}))
     if args.seed is not None:
         train_config = replace(train_config, seed=args.seed)
@@ -191,7 +194,7 @@ def _cmd_train_impulse(args) -> int:
 
 
 def _cmd_teacher_student(args) -> int:
-    config = _load_json(args.config)
+    config = _load_config(args.config)
     seed = args.seed if args.seed is not None else _require(config, "seed")
     records = teacher_student_experiment(
         seed,

@@ -35,6 +35,7 @@ from .core import (
     DenseSSM,
     LayerParams,
     ShallowRealization,
+    _stack,
     parameter_norm,
 )
 from .errors import (
@@ -118,11 +119,10 @@ class ExpansionTable:
     entries: tuple[ExpansionEntry, ...]
 
     def kernel(self, horizon: int = DEFAULT_HORIZON) -> ConvolutionKernel:
-        ts = np.arange(int(horizon))
-        taps = np.zeros(ts.size, dtype=complex)
-        for entry in self.entries:
-            taps += entry.coefficient * entry.eigenvalue ** ts
-        return ConvolutionKernel(taps)
+        eigenvalues = [entry.eigenvalue for entry in self.entries]
+        coefficients = [entry.coefficient for entry in self.entries]
+        modal = ShallowRealization(eigenvalues, coefficients, np.ones(len(self.entries)))
+        return modal.kernel(horizon)
 
     def max_coefficient(self) -> float:
         if not self.entries:
@@ -179,8 +179,7 @@ def collapse(model: DeepLinearSSM) -> DenseSSM:
     the last block.  A depth-1 model passes through unchanged.
     """
     m, depth = model.width, model.depth
-    diags = [layer.state_diag for layer in model.layers]
-    mats = [layer.input_matrix for layer in model.layers]
+    diags, mats = _stack(model)
     n = depth * m
     state = np.zeros((n, n), dtype=complex)
     for i in range(depth):
@@ -382,8 +381,8 @@ def minimal_depth(c1: float, c2: float, mode_count: int) -> DepthPlan:
     Solving that against ``c2`` gives ``ceil(2 ln c1 / ln(c2 / 2) - 1)``,
     clamped to at least one; the paired width is ``ceil(K / l) + 1``.
     """
-    if not c1 > 1.0:
-        raise DomainError(f"c1 must exceed 1, got {c1}")
+    if not 1.0 < c1 < math.inf:
+        raise DomainError(f"c1 must be finite and exceed 1, got {c1}")
     if not c2 > 2.0:
         raise DomainError(f"c2 must exceed 2, got {c2}")
     mode_count = int(mode_count)
@@ -411,7 +410,7 @@ def expand_coefficients(model: DeepLinearSSM) -> ExpansionTable:
     :class:`ZeroEigenvalue`.
     """
     depth, m = model.depth, model.width
-    lambdas = [layer.state_diag for layer in model.layers]
+    lambdas, mats = _stack(model)
     flat_nonzero = [
         lambdas[i][j] for i in range(depth) for j in range(m) if lambdas[i][j] != 0
     ]
@@ -424,7 +423,6 @@ def expand_coefficients(model: DeepLinearSSM) -> ExpansionTable:
             )
 
     first = model.layers[0].input_matrix[:, 0]
-    mats = [layer.input_matrix for layer in model.layers]
     read_out = model.read_out
     xi = np.zeros((depth, m), dtype=complex)
     for path in itertools.product(range(m), repeat=depth):

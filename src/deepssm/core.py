@@ -16,6 +16,12 @@ while :func:`kernel_closed_form` sums, over all index paths through the
 layers, the path weight times a complete homogeneous sum of the visited
 eigenvalues.  The two must agree to rounding; tests lean on that.
 
+One engine, :func:`_layer_blocks`, runs every recurrence in the package.
+Layers couple only within a time step, so each layer is a first-order scan
+over time: per block of ``_BLOCK`` steps, seeded with the last state of the
+block before, it doubles ``h[k:] += A^k h[:-k]`` for k = 1, 2, 4, ...
+Scratch memory is a few ``(_BLOCK, width)`` arrays, whatever the horizon.
+
 Complex scalars serialize as ``[re, im]`` pairs and matrices row-major,
 so JSON round-trips are bit-for-bit (Python emits shortest round-trip
 decimal reprs).
@@ -281,14 +287,8 @@ class DenseSSM:
         return float(np.max(np.abs(np.linalg.eigvals(self.state_matrix))))
 
     def kernel(self, horizon: int = DEFAULT_HORIZON) -> ConvolutionKernel:
-        """Taps ``read_out^T A^t read_in`` by repeated application of A."""
-        horizon = _checked_horizon(horizon)
-        taps = np.empty(horizon, dtype=complex)
-        vec = self.read_in.copy()
-        for t in range(horizon):
-            taps[t] = self.read_out @ vec
-            vec = self.state_matrix @ vec
-        return ConvolutionKernel(taps)
+        """Taps ``read_out^T A^t read_in``."""
+        return DenseDeepSSM((self.state_matrix,), (self.read_in,), self.read_out).kernel(horizon)
 
 
 @dataclass(frozen=True)
@@ -339,16 +339,8 @@ class DenseDeepSSM:
         return len(self.state_matrices)
 
     def kernel(self, horizon: int = DEFAULT_HORIZON) -> ConvolutionKernel:
-        horizon = _checked_horizon(horizon)
-        m, depth = self.width, self.depth
-        states = [np.zeros(m, dtype=complex) for _ in range(depth)]
-        taps = np.empty(horizon, dtype=complex)
-        for t in range(horizon):
-            drive = 1.0 if t == 0 else 0.0
-            states[0] = self.state_matrices[0] @ states[0] + self.input_matrices[0][:, 0] * drive
-            for i in range(1, depth):
-                states[i] = self.state_matrices[i] @ states[i] + self.input_matrices[i] @ states[i - 1]
-            taps[t] = self.read_out @ states[-1]
+        impulse = np.eye(_checked_horizon(horizon), 1)
+        taps = _response(self.state_matrices, self.input_matrices, self.read_out, impulse)
         return ConvolutionKernel(taps)
 
 
@@ -390,6 +382,62 @@ def _stability_gate(radius: float, strict: bool) -> None:
     warnings.warn(message, StabilityWarning, stacklevel=3)
 
 
+#: Time steps per block of the recurrence engine, :func:`_layer_blocks`.
+_BLOCK = 1024
+
+
+def _times(a, rows: np.ndarray) -> np.ndarray:
+    """Apply ``a``, diagonal (1-D) or dense (2-D), to every row of ``rows``.
+
+    An exact zero contributes exactly zero, as step by step, even where a
+    power of an unstable ``a`` overflowed (O(rows * width**2) scratch).
+    """
+    if np.isfinite(a).all():
+        return rows * a if a.ndim == 1 else rows @ a.T
+    if a.ndim == 1:
+        return np.where(rows != 0, rows * a, 0)
+    rows = rows[:, None, :]
+    return np.where((rows != 0) & (a != 0), rows * a, 0).sum(axis=-1)
+
+
+def _layer_blocks(states, mixes, drive: np.ndarray):
+    """Run ``h_i(t) = A_i h_i(t-1) + B_i h_{i-1}(t)`` with h_0 = ``drive``.
+
+    ``states`` holds each A_i (diagonal or dense) and ``mixes`` each B_i.
+    Yields ``(i, rows, h)`` block by block: layer i's states on steps ``rows``.
+    """
+    carries = [np.zeros(len(a), dtype=complex) for a in states]
+    for start in range(0, len(drive), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        h = drive[rows]
+        for i, (a, mix) in enumerate(zip(states, mixes)):
+            h = h @ mix.T
+            # Powers of an unstable a may overflow; _times masks them.
+            with np.errstate(over="ignore", invalid="ignore"):
+                h[0] += _times(a, carries[i])
+                # After offset k, h[t] sums a^j (B_i h_{i-1})[t - j], j < 2k.
+                power, k = a, 1
+                while k < len(h):
+                    h[k:] += _times(power, h[:-k])
+                    power, k = _times(power, power.T).T, 2 * k
+            carries[i] = h[-1]
+            yield i, rows, h
+
+
+def _stack(model: DeepLinearSSM):
+    """The A_i and B_i lists of a diagonal model, as the engine takes them."""
+    return [x.state_diag for x in model.layers], [x.input_matrix for x in model.layers]
+
+
+def _response(states, mixes, read_out: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """Read-out ``C^T h_l(t)`` of :func:`_layer_blocks` for every step."""
+    out = np.empty(len(drive), dtype=complex)
+    for i, rows, h in _layer_blocks(states, mixes, drive):
+        if i == len(states) - 1:
+            out[rows] = h @ read_out
+    return out
+
+
 def simulate(model: DeepLinearSSM, inputs, *, strict_stability: bool = False) -> np.ndarray:
     """Run the layered recurrence on a scalar input sequence.
 
@@ -403,18 +451,7 @@ def simulate(model: DeepLinearSSM, inputs, *, strict_stability: bool = False) ->
     if not np.all(np.isfinite(x)):
         raise DomainError("inputs contain non-finite entries")
     _stability_gate(model.spectral_radius(), strict_stability)
-    m, depth = model.width, model.depth
-    diags = [layer.state_diag for layer in model.layers]
-    mats = [layer.input_matrix for layer in model.layers]
-    states = [np.zeros(m, dtype=complex) for _ in range(depth)]
-    out = np.empty(x.size, dtype=complex)
-    for t in range(x.size):
-        # A_i is diagonal, so the state update is elementwise.
-        states[0] = diags[0] * states[0] + mats[0][:, 0] * x[t]
-        for i in range(1, depth):
-            states[i] = diags[i] * states[i] + mats[i] @ states[i - 1]
-        out[t] = model.read_out @ states[-1]
-    return out
+    return _response(*_stack(model), model.read_out, x[:, None])
 
 
 def kernel_by_simulation(
@@ -424,10 +461,8 @@ def kernel_by_simulation(
     strict_stability: bool = False,
 ) -> ConvolutionKernel:
     """Kernel taps as the simulated response to the unit impulse."""
-    horizon = _checked_horizon(horizon)
-    delta = np.zeros(horizon, dtype=complex)
-    delta[0] = 1.0
-    return ConvolutionKernel(simulate(model, delta, strict_stability=strict_stability))
+    impulse = np.eye(_checked_horizon(horizon), 1)[:, 0]
+    return ConvolutionKernel(simulate(model, impulse, strict_stability=strict_stability))
 
 
 def kernel_closed_form(
@@ -543,7 +578,10 @@ def _unpair(obj) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
     ):
         raise ShapeMismatch(f"expected a [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
+    try:
+        return complex(obj[0], obj[1])
+    except OverflowError as exc:
+        raise DomainError(f"[re, im] pair does not fit a float: {exc}") from exc
 
 
 def _vector_json(arr: np.ndarray) -> list:

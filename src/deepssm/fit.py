@@ -30,8 +30,10 @@ from .core import (
     DeepLinearSSM,
     LayerParams,
     ShallowRealization,
+    _layer_blocks,
+    _response,
+    _stack,
     atomic_write_text,
-    kernel_by_simulation,
     parameter_norm,
 )
 from .errors import (
@@ -173,38 +175,21 @@ def _target_kernel(target) -> ConvolutionKernel:
     )
 
 
-def _forward_impulse(model: DeepLinearSSM, horizon: int, keep_states: bool):
-    """Impulse response, optionally with the full state trajectory.
-
-    No stability gate here: training legitimately visits the radius-one
-    boundary, and the projection step handles it.
-    """
-    depth, m = model.depth, model.width
-    diags = [layer.state_diag for layer in model.layers]
-    mats = [layer.input_matrix for layer in model.layers]
-    states = [np.zeros(m, dtype=complex) for _ in range(depth)]
-    history = (
-        [np.zeros((horizon, m), dtype=complex) for _ in range(depth)]
-        if keep_states
-        else None
-    )
-    out = np.empty(horizon, dtype=complex)
-    for t in range(horizon):
-        states[0] = diags[0] * states[0] + mats[0][:, 0] * (1.0 if t == 0 else 0.0)
-        for i in range(1, depth):
-            states[i] = diags[i] * states[i] + mats[i] @ states[i - 1]
-        if keep_states:
-            for i in range(depth):
-                history[i][t] = states[i]
-        out[t] = model.read_out @ states[-1]
-    return out, history
+def _trajectories(states, mixes, drive: np.ndarray) -> list[np.ndarray]:
+    """Every layer's ``(T, m)`` states from the engine in :mod:`.core`."""
+    out = [np.empty((len(drive), len(a)), dtype=complex) for a in states]
+    for i, rows, h in _layer_blocks(states, mixes, drive):
+        out[i][rows] = h
+    return out
 
 
 def kernel_loss(model_or_kernel, target) -> float:
     """Squared kernel mismatch against the target at the target's horizon."""
     ref = _target_kernel(target)
     if isinstance(model_or_kernel, DeepLinearSSM):
-        probe, _ = _forward_impulse(model_or_kernel, ref.horizon, keep_states=False)
+        # No stability gate: training visits the radius-one boundary.
+        impulse = np.eye(ref.horizon, 1)
+        probe = _response(*_stack(model_or_kernel), model_or_kernel.read_out, impulse)
     else:
         probe_kernel = _target_kernel(model_or_kernel)
         if probe_kernel.horizon != ref.horizon:
@@ -219,41 +204,26 @@ def kernel_loss(model_or_kernel, target) -> float:
 def kernel_gradient(model: DeepLinearSSM, target) -> ModelGradient:
     """Gradient of :func:`kernel_loss` by backpropagation through time.
 
-    The adjoint of layer i's state receives the read-out times the
-    residual at the top, the transposed mixing matrix from the layer
-    above within the same step, and its own diagonal from the next step.
-    Matches central finite differences on the real and imaginary parts.
+    The adjoint is the recurrence engine run backwards in time on the reversed
+    stack: conj(residual) C drives the top layer, B_{i+1}^T adj_{i+1} layer i.
+    Each gradient block is then one product over the whole trajectory.
     """
     ref = _target_kernel(target)
-    horizon = ref.horizon
-    depth, m = model.depth, model.width
-    diags = [layer.state_diag for layer in model.layers]
-    mats = [layer.input_matrix for layer in model.layers]
-    response, history = _forward_impulse(model, horizon, keep_states=True)
-    weights = np.conj(response - ref.taps)
-
-    adj_next = [np.zeros(m, dtype=complex) for _ in range(depth)]
-    grad_diag = [np.zeros(m, dtype=complex) for _ in range(depth)]
-    grad_mix = [np.zeros(mat.shape, dtype=complex) for mat in mats]
-    grad_out = np.zeros(m, dtype=complex)
-    for t in range(horizon - 1, -1, -1):
-        adj = [None] * depth
-        adj[depth - 1] = weights[t] * model.read_out + diags[depth - 1] * adj_next[depth - 1]
-        for i in range(depth - 2, -1, -1):
-            adj[i] = mats[i + 1].T @ adj[i + 1] + diags[i] * adj_next[i]
-        for i in range(depth):
-            if t > 0:
-                grad_diag[i] += adj[i] * history[i][t - 1]
-        if t == 0:
-            grad_mix[0][:, 0] += adj[0]
-        for i in range(1, depth):
-            grad_mix[i] += np.outer(adj[i], history[i - 1][t])
-        grad_out += weights[t] * history[depth - 1][t]
-        adj_next = adj
+    diags, mats = _stack(model)
+    impulse = np.eye(ref.horizon, 1)
+    states = _trajectories(diags, mats, impulse)
+    weights = np.conj(states[-1] @ model.read_out - ref.taps)
+    down = [model.read_out[:, None], *(mat.T for mat in mats[:0:-1])]
+    adjoints = [a[::-1] for a in reversed(_trajectories(diags[::-1], down, weights[::-1, None]))]
     return ModelGradient(
-        state_diags=tuple(2.0 * np.conj(g) for g in grad_diag),
-        input_matrices=tuple(2.0 * np.conj(g) for g in grad_mix),
-        read_out=2.0 * np.conj(grad_out),
+        state_diags=tuple(
+            2.0 * np.conj(np.sum(adj[1:] * h[:-1], axis=0))
+            for adj, h in zip(adjoints, states)
+        ),
+        input_matrices=tuple(
+            2.0 * np.conj(adj.T @ h) for adj, h in zip(adjoints, [impulse, *states])
+        ),
+        read_out=2.0 * np.conj(weights @ states[-1]),
     )
 
 
@@ -421,10 +391,7 @@ def teacher_student_experiment(
         student, certificate = factorize(teacher, depth)
         table = expand_coefficients(student)
         wall = time.perf_counter() - start
-        residual = (
-            kernel_by_simulation(student, horizon).taps - teacher.kernel(horizon).taps
-        )
-        loss = float(np.sum(residual.real ** 2 + residual.imag ** 2))
+        loss = kernel_loss(student, teacher.kernel(horizon))
         bound = 2.0 * norm_scale ** (2.0 / (depth + 1))
         if certificate.measured_max > bound * (1.0 + CERTIFICATE_RTOL):
             raise DeepSsmError(

@@ -62,3 +62,20 @@ def random_normal_dense(rng, width, *, entry_scale=1.0):
         return mags * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, width))
 
     return d.DenseSSM(state, vector(), vector())
+
+
+def sequential_response(states, mixes, read_out, inputs):
+    """Step-by-step reference for h_i(t) = A_i h_i(t-1) + B_i h_{i-1}(t).
+
+    Each A_i in ``states`` is diagonal (a vector) or dense (a matrix); h_0 is
+    the scalar input.  Returns the read-out ``C^T h_l(t)`` for every step.
+    """
+    hs = [np.zeros(len(a), dtype=complex) for a in states]
+    out = np.empty(len(inputs), dtype=complex)
+    for t, x in enumerate(inputs):
+        below = np.array([x], dtype=complex)
+        for i, (a, b) in enumerate(zip(states, mixes)):
+            hs[i] = (a * hs[i] if np.ndim(a) == 1 else a @ hs[i]) + b @ below
+            below = hs[i]
+        out[t] = read_out @ below
+    return out

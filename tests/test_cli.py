@@ -348,6 +348,30 @@ class TestErrorPaths:
             ["kernel", "--input", str(path), "--output", str(tmp_path / "k.csv")]
         ) == 2
 
+    HUGE_INTEGER_MODEL = (
+        '{"layers": [{"state_diag": [[1%s, 0]], "input_matrix": [[[1, 0]]]}], '
+        '"read_out": [[1, 0]]}' % ("0" * 310)
+    )
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("[1, 2]", ["train-impulse", "--config", "{file}", "--output", "{out}"]),
+            (HUGE_INTEGER_MODEL, ["kernel", "--input", "{file}", "--output", "{out}"]),
+            (None, ["plan-depth", "--c1", "inf", "--c2", "10", "--modes", "5"]),
+        ],
+        ids=["config-list", "integer-beyond-float", "infinite-c1"],
+    )
+    def test_refused_input_exits_2_with_one_line(self, tmp_path, capsys, text, argv):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        argv = [a.format(file=path, out=tmp_path / "out") for a in argv]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_usage_error(self, capsys):
         assert cli.run([]) == 2
         assert cli.run(["no-such-command"]) == 2

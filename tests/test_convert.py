@@ -282,6 +282,11 @@ class TestExpand:
                 table.kernel(64).taps, d.kernel_by_simulation(model, 64).taps
             ) < 1e-8
 
+    def test_kernel_horizon_must_be_positive(self):
+        table = d.expand_coefficients(distinct_model(d.seeded_rng(31), 2, 2))
+        with pytest.raises(d.DomainError):
+            table.kernel(0)
+
     def test_resonant_eigenvalues_rejected(self):
         model = d.DeepLinearSSM(
             (

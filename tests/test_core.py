@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import deepssm as d
-from conftest import distinct_model, random_model, rel_err
+from conftest import (
+    distinct_model,
+    random_model,
+    random_normal_dense,
+    rel_err,
+    sequential_response,
+)
+from deepssm.core import _BLOCK
 
 
 def worked_two_layer_example():
@@ -352,3 +359,92 @@ class TestDenseDeep:
     def test_shape_validation(self):
         with pytest.raises(d.ShapeMismatch):
             d.DenseDeepSSM((np.eye(2),), (np.eye(2),), np.ones(2))
+
+
+def assert_matches_oracle(got, want):
+    """Same finite/non-finite pattern, within 1e-12 relative where finite."""
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(np.isfinite(got), finite)
+    if finite.any():
+        assert rel_err(got[finite], want[finite]) <= 1e-12
+
+
+def random_dense_deep(rng, depth, width):
+    """Dense stack whose non-normal state matrices have spectral radius 0.9."""
+
+    def gauss(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    states = [gauss((width, width)) for _ in range(depth)]
+    states = [0.9 * a / np.max(np.abs(np.linalg.eigvals(a))) for a in states]
+    inputs = [gauss((width, 1))] + [gauss((width, width)) / width for _ in range(depth - 1)]
+    return d.DenseDeepSSM(tuple(states), tuple(inputs), gauss(width))
+
+
+class TestEngineAgainstOracle:
+    """Every engine entry point against the step-by-step recurrence."""
+
+    @pytest.mark.parametrize("horizon", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_block_edges(self, horizon):
+        rng = d.seeded_rng(60, horizon)
+        model = random_model(rng, 3, 3)
+        stack = ([x.state_diag for x in model.layers], [x.input_matrix for x in model.layers])
+        x = rng.standard_normal(horizon) + 1j * rng.standard_normal(horizon)
+        impulse = np.eye(horizon, 1)[:, 0]
+        taps = sequential_response(*stack, model.read_out, impulse)
+        want = sequential_response(*stack, model.read_out, x)
+        assert_matches_oracle(d.simulate(model, x), want)
+        assert_matches_oracle(d.kernel_by_simulation(model, horizon).taps, taps)
+        target = d.ConvolutionKernel(rng.standard_normal(horizon))
+        loss = float(np.sum(np.abs(taps - target.taps) ** 2))
+        assert abs(d.kernel_loss(model, target) - loss) <= 1e-12 * loss
+
+        deep = random_dense_deep(rng, 3, 3)
+        want = sequential_response(
+            deep.state_matrices, deep.input_matrices, deep.read_out, impulse
+        )
+        assert_matches_oracle(deep.kernel(horizon).taps, want)
+        dense = random_normal_dense(rng, 4)
+        want = sequential_response(
+            [dense.state_matrix], [dense.read_in[:, None]], dense.read_out, impulse
+        )
+        assert_matches_oracle(dense.kernel(horizon).taps, want)
+
+    @pytest.mark.parametrize("a", [2.0, 4.0, 1e3])
+    def test_unstable_channel_without_drive(self, a):
+        # Powers of a overflow inside a block; the undriven channel must
+        # still read exactly zero, as it does step by step.
+        horizon = 2100
+        states, mixes, read_out = [np.array([a, 0.5])], [np.array([[0.0], [1.0]])], np.ones(2)
+        model = d.DeepLinearSSM((d.LayerParams(states[0], mixes[0]),), read_out)
+        impulse = np.eye(horizon, 1)[:, 0]
+        taps = sequential_response(states, mixes, read_out, impulse)
+        x = d.seeded_rng(61).standard_normal(horizon)
+        with pytest.warns(d.StabilityWarning):
+            got = d.kernel_by_simulation(model, horizon).taps
+        assert got[5] == 0.03125
+        assert_matches_oracle(got, taps)
+        with pytest.warns(d.StabilityWarning):
+            assert_matches_oracle(
+                d.simulate(model, x), sequential_response(states, mixes, read_out, x)
+            )
+        target = d.impulse_target(5, horizon)
+        loss = float(np.sum(np.abs(taps - target.kernel().taps) ** 2))
+        assert abs(d.kernel_loss(model, target) - loss) <= 1e-12 * loss
+        dense = d.DenseSSM(np.diag(states[0]), mixes[0], read_out)
+        assert_matches_oracle(dense.kernel(horizon).taps, taps)
+        deep = d.DenseDeepSSM((np.diag(states[0]),), tuple(mixes), read_out)
+        assert_matches_oracle(deep.kernel(horizon).taps, taps)
+
+    @pytest.mark.parametrize("a", [2.0, 4.0])
+    def test_unstable_impulse_after_zeros(self, a):
+        # The impulse lands in the second block; at a = 4 the state
+        # overflows 512 steps later, at the same step as step by step.
+        x = np.zeros(2100)
+        x[1200] = 1.0
+        model = d.DeepLinearSSM((d.LayerParams([a], [[1.0]]),), [1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = sequential_response([np.array([a])], [np.array([[1.0]])], np.ones(1), x)
+            with pytest.warns(d.StabilityWarning):
+                got = d.simulate(model, x)
+        assert_matches_oracle(got, want)

@@ -7,6 +7,7 @@ import pytest
 
 import deepssm as d
 from conftest import random_model, rel_err
+from deepssm.core import _BLOCK
 
 
 def finite_difference_gradient(model, target, step=1e-6):
@@ -136,6 +137,18 @@ class TestKernelGradient:
         model = random_model(rng, 3, 2)
         target = d.ConvolutionKernel(
             rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        )
+        got = gradient_as_vector(d.kernel_gradient(model, target))
+        want = gradient_as_vector(finite_difference_gradient(model, target))
+        assert rel_err(got, want) < 1e-6
+
+    def test_matches_finite_differences_across_blocks(self):
+        # The adjoint is scanned backwards in blocks too; cross two edges.
+        rng = d.seeded_rng(49)
+        model = random_model(rng, 2, 2)
+        horizon = 2 * _BLOCK + 3
+        target = d.ConvolutionKernel(
+            rng.standard_normal(horizon) + 1j * rng.standard_normal(horizon)
         )
         got = gradient_as_vector(d.kernel_gradient(model, target))
         want = gradient_as_vector(finite_difference_gradient(model, target))
