@@ -20,7 +20,6 @@ fits under a requested parameter budget.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +34,7 @@ from .core import (
     DenseSSM,
     LayerParams,
     ShallowRealization,
+    _mix,
     _stack,
     parameter_norm,
 )
@@ -398,65 +398,59 @@ def minimal_depth(c1: float, c2: float, mode_count: int) -> DepthPlan:
 def expand_coefficients(model: DeepLinearSSM) -> ExpansionTable:
     """Exponential-sum coefficients equivalent to a deep diagonal model.
 
-    Every nonzero eigenvalue (layer i, index j) receives the coefficient
+    The kernel's z-transform factors layer by layer as
+    ``C^T R_l(z) B_l ... R_1(z) B_1`` with ``R_a(z) = diag(1 / (1 - A_a / z))``,
+    so the nonzero eigenvalue lam = A_i[j] (layer i, index j) receives the
+    residue
 
-        xi = sum over index paths hitting it of
-             path weight / prod over other layers a of (1 - lam_a / lam)
+        xi = u_i(lam)[j] * v_i(lam)[j],
+        v_i   = B_i R_{i-1}(lam) B_{i-1} ... R_1(lam) B_1,
+        u_i^T = C^T R_l(lam) B_l ... R_{i+1}(lam) B_{i+1},
 
-    and the kernel equals ``sum xi * lam**t``.  Nonzero eigenvalues must
-    be globally pairwise distinct (:class:`ResonantEigenvalues` otherwise);
-    zero eigenvalues are allowed but carry no term, so a nonzero-weight
-    path made of zeros alone has no expansion and raises
-    :class:`ZeroEigenvalue`.
+    and the kernel equals ``sum xi * lam**t``.  The m eigenvalues of a layer
+    run through both chains at once, so the cost is O(l^2 * m^3), not one
+    term per index path.  Nonzero eigenvalues must be globally pairwise
+    distinct (:class:`ResonantEigenvalues` otherwise); zero eigenvalues are
+    allowed but carry no term, so a nonzero-weight path made of zeros alone
+    has no expansion and raises :class:`ZeroEigenvalue`.  That path is found
+    by a boolean product over the exact zeros, in O(l * m^2).
     """
-    depth, m = model.depth, model.width
     lambdas, mats = _stack(model)
-    flat_nonzero = [
-        lambdas[i][j] for i in range(depth) for j in range(m) if lambdas[i][j] != 0
-    ]
-    if flat_nonzero:
-        clashes = coincident_pairs(np.array(flat_nonzero))
-        if clashes:
-            raise ResonantEigenvalues(
-                "eigenvalues coincide across entries within tolerance "
-                f"{DISTINCTNESS_RTOL:g}; the modal expansion is singular"
-            )
+    nonzero = np.concatenate(lambdas)
+    nonzero = nonzero[nonzero != 0]
+    if nonzero.size and coincident_pairs(nonzero):
+        raise ResonantEigenvalues(
+            "eigenvalues coincide across entries within tolerance "
+            f"{DISTINCTNESS_RTOL:g}; the modal expansion is singular"
+        )
 
-    first = model.layers[0].input_matrix[:, 0]
-    read_out = model.read_out
-    xi = np.zeros((depth, m), dtype=complex)
-    for path in itertools.product(range(m), repeat=depth):
-        w = first[path[0]]
-        if w == 0:
-            continue
-        for i in range(1, depth):
-            w = w * mats[i][path[i], path[i - 1]]
-            if w == 0:
-                break
-        else:
-            w = w * read_out[path[-1]]
-            if w == 0:
-                continue
-            lams = np.array([lambdas[i][path[i]] for i in range(depth)])
-            if np.all(lams == 0):
-                raise ZeroEigenvalue(
-                    "a nonzero-weight path has all-zero eigenvalues; its "
-                    "impulse contribution is not an exponential sum"
-                )
-            for i in range(depth):
-                lam = lams[i]
-                if lam == 0:
-                    continue
-                ratios = 1.0 - np.delete(lams, i) / lam
-                xi[i, path[i]] += w / np.prod(ratios)
+    # zero_path[j]: some nonzero-weight path reaches (layer, j) on zeros only.
+    zero_path = (mats[0][:, 0] != 0) & (lambdas[0] == 0)
+    for lam, mat in zip(lambdas[1:], mats[1:]):
+        zero_path = ((mat != 0) @ zero_path) & (lam == 0)
+    if np.any(zero_path & (model.read_out != 0)):
+        raise ZeroEigenvalue(
+            "a nonzero-weight path has all-zero eigenvalues; its "
+            "impulse contribution is not an exponential sum"
+        )
 
-    entries = tuple(
-        ExpansionEntry(i + 1, j + 1, complex(lambdas[i][j]), complex(xi[i, j]))
-        for i in range(depth)
-        for j in range(m)
-        if lambdas[i][j] != 0
-    )
-    return ExpansionTable(entries)
+    entries = []
+    for i, lam_i in enumerate(lambdas):
+        (index,) = np.nonzero(lam_i)
+        lam = lam_i[index]
+        # Column p of v and u is the chain at the eigenvalue lam[p].
+        v = np.broadcast_to(mats[0], (model.width, lam.size))
+        for a in range(i):
+            v = _mix(mats[a + 1], v / (1.0 - lambdas[a][:, None] / lam))
+        u = np.broadcast_to(model.read_out[:, None], v.shape)
+        for a in range(model.depth - 1, i, -1):
+            u = _mix(mats[a].T, u / (1.0 - lambdas[a][:, None] / lam))
+        xi = (u * v)[index, np.arange(lam.size)]
+        entries.extend(
+            ExpansionEntry(i + 1, int(j) + 1, complex(lam_i[j]), complex(x))
+            for j, x in zip(index, xi)
+        )
+    return ExpansionTable(tuple(entries))
 
 
 def reduce_normal(dense: DenseSSM, *, rtol: float = 1e-10) -> ShallowRealization:

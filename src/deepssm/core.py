@@ -14,7 +14,9 @@ the response to the unit impulse at t = 0.  Two kernel paths are provided:
 :func:`kernel_by_simulation` runs the recurrence above on the impulse,
 while :func:`kernel_closed_form` sums, over all index paths through the
 layers, the path weight times a complete homogeneous sum of the visited
-eigenvalues.  The two must agree to rounding; tests lean on that.
+eigenvalues.  It never enumerates the m^l paths: it groups them by their
+last index and builds the sums one layer at a time with a recursive filter,
+in O(l * m^2 * T).  The two must agree to rounding; tests lean on that.
 
 One engine, :func:`_layer_blocks`, runs every recurrence in the package.
 Layers couple only within a time step, so each layer is a first-order scan
@@ -400,6 +402,23 @@ def _times(a, rows: np.ndarray) -> np.ndarray:
     return np.where((rows != 0) & (a != 0), rows * a, 0).sum(axis=-1)
 
 
+def _mix(mat: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+    """``mat @ seqs``, where an exact zero of ``mat`` adds exactly zero.
+
+    That holds even against an inf in ``seqs`` (an overflowed unstable
+    channel), where a plain product gives 0 * inf = nan.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = mat @ seqs
+        if np.isfinite(out).all():
+            return out
+        out = np.zeros_like(out)
+        for k, column in enumerate(mat.T):
+            live = column != 0
+            out[live] += column[live, None] * seqs[k]
+    return out
+
+
 def _layer_blocks(states, mixes, drive: np.ndarray):
     """Run ``h_i(t) = A_i h_i(t-1) + B_i h_{i-1}(t)`` with h_0 = ``drive``.
 
@@ -471,48 +490,27 @@ def kernel_closed_form(
     *,
     strict_stability: bool = False,
 ) -> ConvolutionKernel:
-    """Kernel taps from the homogeneous-sum expansion over index paths.
+    """Kernel taps from the homogeneous-sum expansion, summed layer by layer.
 
-    Each path (j_1..j_l) through the layer indices contributes its weight
+    Each index path (j_1..j_l) through the layers contributes its weight
     C[j_l] * B_l[j_l, j_{l-1}] * ... * B_2[j_2, j_1] * B_1[j_1] times the
-    complete homogeneous sums of the visited eigenvalues.  Paths whose
-    weight is exactly zero are dropped as they arise, which keeps sparse
-    constructions cheap; cost is otherwise Theta(m^l * l * horizon).
+    complete homogeneous sums of the visited eigenvalues.  By distributivity
+    the paths group by their last index: the sequences
+    ``s_i[j] = extend(sum_k B_i[j, k] s_{i-1}[k], A_i[j])`` with s_0 the unit
+    impulse hold every path prefix ending at (i, j), and the taps are
+    ``sum_j C[j] s_l[j]``.  Cost is O(l * m^2 * horizon); the sums stay exact
+    for repeated and zero eigenvalues.  An exact-zero B or C entry adds
+    exactly zero, even against a sequence that overflowed.
     """
     horizon = _checked_horizon(horizon)
     _stability_gate(model.spectral_radius(), strict_stability)
-    m = model.width
-    delta = np.zeros(horizon, dtype=complex)
-    delta[0] = 1.0
-
-    first = model.layers[0]
-    weights = first.input_matrix[:, 0].copy()
-    keep = np.flatnonzero(weights != 0)
-    if keep.size == 0:
-        return ConvolutionKernel(np.zeros(horizon, dtype=complex))
-    weights = weights[keep]
-    seqs = np.stack([extend_homogeneous(delta, first.state_diag[j]) for j in keep])
-    last = keep
-
-    for layer in model.layers[1:]:
-        mat = layer.input_matrix
-        next_seqs, next_weights, next_last = [], [], []
-        for j in range(m):
-            stepped = weights * mat[j, last]
-            alive = np.flatnonzero(stepped != 0)
-            if alive.size == 0:
-                continue
-            next_seqs.append(extend_homogeneous(seqs[alive], layer.state_diag[j]))
-            next_weights.append(stepped[alive])
-            next_last.append(np.full(alive.size, j))
-        if not next_seqs:
-            return ConvolutionKernel(np.zeros(horizon, dtype=complex))
-        seqs = np.vstack(next_seqs)
-        weights = np.concatenate(next_weights)
-        last = np.concatenate(next_last)
-
-    taps = (weights * model.read_out[last]) @ seqs
-    return ConvolutionKernel(taps)
+    seqs = np.eye(1, horizon, dtype=complex)
+    for layer in model.layers:
+        mixed = _mix(layer.input_matrix, seqs)
+        seqs = np.stack(
+            [extend_homogeneous(row, alpha) for row, alpha in zip(mixed, layer.state_diag)]
+        )
+    return ConvolutionKernel(_mix(model.read_out[None, :], seqs)[0])
 
 
 def convolve(kernel: ConvolutionKernel, inputs) -> np.ndarray:

@@ -18,6 +18,8 @@ fixed effective width ``depth * (width - 1) + 1``.
 from __future__ import annotations
 
 import logging
+import numbers
+import sys
 import time
 from dataclasses import dataclass
 
@@ -119,6 +121,20 @@ class TrainConfig:
     stability_projection: bool = True
 
     def __post_init__(self):
+        for name in ("learning_rate", "init_scale"):
+            value = getattr(self, name)
+            # The bound also refuses nan and integers too large for a float.
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not real or not abs(value) <= sys.float_info.max:
+                raise DomainError(f"{name} must be a finite number, got {value!r}")
+        for name in ("steps", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.stability_projection, bool):
+            raise DomainError(
+                f"stability_projection must be true or false, got {self.stability_projection!r}"
+            )
         if self.learning_rate < 0:
             raise DomainError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.steps < 0:
@@ -208,14 +224,20 @@ def kernel_gradient(model: DeepLinearSSM, target) -> ModelGradient:
     stack: conj(residual) C drives the top layer, B_{i+1}^T adj_{i+1} layer i.
     Each gradient block is then one product over the whole trajectory.
     """
-    ref = _target_kernel(target)
+    return _loss_and_gradient(model, _target_kernel(target))[1]
+
+
+def _loss_and_gradient(model: DeepLinearSSM, ref: ConvolutionKernel):
+    """:func:`kernel_loss` and :func:`kernel_gradient` from one forward pass."""
     diags, mats = _stack(model)
     impulse = np.eye(ref.horizon, 1)
     states = _trajectories(diags, mats, impulse)
-    weights = np.conj(states[-1] @ model.read_out - ref.taps)
+    residual = states[-1] @ model.read_out - ref.taps
+    loss = float(np.sum(residual.real ** 2 + residual.imag ** 2))
+    weights = np.conj(residual)
     down = [model.read_out[:, None], *(mat.T for mat in mats[:0:-1])]
     adjoints = [a[::-1] for a in reversed(_trajectories(diags[::-1], down, weights[::-1, None]))]
-    return ModelGradient(
+    return loss, ModelGradient(
         state_diags=tuple(
             2.0 * np.conj(np.sum(adj[1:] * h[:-1], axis=0))
             for adj, h in zip(adjoints, states)
@@ -253,12 +275,16 @@ def train(
     exceeds a million times its initial value.
     """
     ref = _target_kernel(target)
-    trace = [kernel_loss(model, ref)]
+    loss, grad = _loss_and_gradient(model, ref)
+    trace = [loss]
     ceiling = 1e6 * trace[0] if trace[0] > 0 else np.inf
-    for _ in range(config.steps):
-        grad = kernel_gradient(model, ref)
+    for step in range(1, config.steps + 1):
         model = _descend(model, grad, config.learning_rate, config.stability_projection)
-        loss = kernel_loss(model, ref)
+        # The loss of each new model comes with its gradient; the last needs none.
+        if step < config.steps:
+            loss, grad = _loss_and_gradient(model, ref)
+        else:
+            loss = kernel_loss(model, ref)
         trace.append(loss)
         if loss > ceiling:
             raise DivergenceDetected(

@@ -1,4 +1,6 @@
-"""Shared samplers and comparison helpers for the test suite."""
+"""Shared samplers, comparison helpers and reference oracles for the test suite."""
+
+import itertools
 
 import numpy as np
 
@@ -79,3 +81,88 @@ def sequential_response(states, mixes, read_out, inputs):
             below = hs[i]
         out[t] = read_out @ below
     return out
+
+
+
+def path_sum_expansion(model):
+    """Reference expansion coefficients ``xi[i, j]``, one term per index path.
+
+    Walks all m^l paths (j_1..j_l); a path of nonzero weight adds
+    ``weight / prod_{a != i} (1 - lam_a / lam_i)`` at each of its nonzero
+    eigenvalues.  Raises :class:`ResonantEigenvalues` and
+    :class:`ZeroEigenvalue` where :func:`deepssm.expand_coefficients` must.
+    """
+    depth, m = model.depth, model.width
+    lambdas = [layer.state_diag for layer in model.layers]
+    mats = [layer.input_matrix for layer in model.layers]
+    flat_nonzero = [
+        lambdas[i][j] for i in range(depth) for j in range(m) if lambdas[i][j] != 0
+    ]
+    if flat_nonzero and d.coincident_pairs(np.array(flat_nonzero)):
+        raise d.ResonantEigenvalues("eigenvalues coincide across entries")
+
+    first = mats[0][:, 0]
+    read_out = model.read_out
+    xi = np.zeros((depth, m), dtype=complex)
+    for path in itertools.product(range(m), repeat=depth):
+        w = first[path[0]]
+        if w == 0:
+            continue
+        for i in range(1, depth):
+            w = w * mats[i][path[i], path[i - 1]]
+            if w == 0:
+                break
+        else:
+            w = w * read_out[path[-1]]
+            if w == 0:
+                continue
+            lams = np.array([lambdas[i][path[i]] for i in range(depth)])
+            if np.all(lams == 0):
+                raise d.ZeroEigenvalue("a nonzero-weight path has all-zero eigenvalues")
+            for i in range(depth):
+                lam = lams[i]
+                if lam == 0:
+                    continue
+                ratios = 1.0 - np.delete(lams, i) / lam
+                xi[i, path[i]] += w / np.prod(ratios)
+    return xi
+
+
+def path_sum_kernel(model, horizon):
+    """Reference closed-form taps: per index path, weight times homogeneous sums.
+
+    Paths are grown one layer at a time and those whose weight is exactly
+    zero are dropped as they arise, so a dead channel that overflows adds
+    nothing.  Cost is Theta(m^l * l * horizon).
+    """
+    m = model.width
+    delta = np.zeros(horizon, dtype=complex)
+    delta[0] = 1.0
+
+    first = model.layers[0]
+    weights = first.input_matrix[:, 0].copy()
+    keep = np.flatnonzero(weights != 0)
+    if keep.size == 0:
+        return np.zeros(horizon, dtype=complex)
+    weights = weights[keep]
+    seqs = np.stack([d.extend_homogeneous(delta, first.state_diag[j]) for j in keep])
+    last = keep
+
+    for layer in model.layers[1:]:
+        mat = layer.input_matrix
+        next_seqs, next_weights, next_last = [], [], []
+        for j in range(m):
+            stepped = weights * mat[j, last]
+            alive = np.flatnonzero(stepped != 0)
+            if alive.size == 0:
+                continue
+            next_seqs.append(d.extend_homogeneous(seqs[alive], layer.state_diag[j]))
+            next_weights.append(stepped[alive])
+            next_last.append(np.full(alive.size, j))
+        if not next_seqs:
+            return np.zeros(horizon, dtype=complex)
+        seqs = np.vstack(next_seqs)
+        weights = np.concatenate(next_weights)
+        last = np.concatenate(next_last)
+
+    return (weights * model.read_out[last]) @ seqs

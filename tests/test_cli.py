@@ -242,6 +242,19 @@ class TestExpandCommand:
             taps += xi * lam**ts
         assert rel_err(taps, d.kernel_by_simulation(model, 48).taps) < 1e-8
 
+    def test_deep_wide_model_expands(self, tmp_path):
+        # 8**12 = 6.9e10 index paths: out of reach for a per-path sum.
+        model = distinct_model(d.seeded_rng(58), 12, 8)
+        model_path = write_model(model, tmp_path / "model.json")
+        out = tmp_path / "table.csv"
+        assert cli.run(["expand", "--input", model_path, "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 96
+        lam = np.array([complex(float(r[2]), float(r[3])) for r in rows])
+        xi = np.array([complex(float(r[4]), float(r[5])) for r in rows])
+        taps = np.sum(xi[:, None] * lam[:, None] ** np.arange(128)[None, :], axis=0)
+        assert rel_err(taps, d.kernel_by_simulation(model, 128).taps) < 1e-8
+
     def test_resonant_model_is_numerical_error(self, tmp_path):
         model = d.DeepLinearSSM(
             (
@@ -359,8 +372,10 @@ class TestErrorPaths:
             ("[1, 2]", ["train-impulse", "--config", "{file}", "--output", "{out}"]),
             (HUGE_INTEGER_MODEL, ["kernel", "--input", "{file}", "--output", "{out}"]),
             (None, ["plan-depth", "--c1", "inf", "--c2", "10", "--modes", "5"]),
+            ('{"train": {"steps": "abc"}}',
+             ["train-impulse", "--config", "{file}", "--output", "{out}"]),
         ],
-        ids=["config-list", "integer-beyond-float", "infinite-c1"],
+        ids=["config-list", "integer-beyond-float", "infinite-c1", "string-steps"],
     )
     def test_refused_input_exits_2_with_one_line(self, tmp_path, capsys, text, argv):
         path = tmp_path / "input.json"

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import deepssm as d
-from conftest import distinct_model, random_model, random_normal_dense, rel_err
+from conftest import (
+    distinct_model,
+    path_sum_expansion,
+    path_sum_kernel,
+    random_model,
+    random_normal_dense,
+    rel_err,
+)
 from test_core import worked_two_layer_example
 
 
@@ -355,6 +362,74 @@ class TestExpand:
         assert len(lines) == 5
         data = table.to_json_dict()
         assert len(data["entries"]) == 4
+
+
+def expansion_array(model):
+    """``expand_coefficients`` as an array ``xi[i, j]``, zero where no entry."""
+    xi = np.zeros((model.depth, model.width), dtype=complex)
+    for entry in d.expand_coefficients(model).entries:
+        xi[entry.layer - 1, entry.index - 1] = entry.coefficient
+    return xi
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type of the modal-expansion error it raised."""
+    try:
+        return fn(*args)
+    except (d.ZeroEigenvalue, d.ResonantEigenvalues) as exc:
+        return type(exc)
+
+
+class TestExpandAgainstPathSum:
+    """The resolvent products against the per-path sums they replace."""
+
+    def test_dense_models(self):
+        rng = d.seeded_rng(33)
+        for depth in range(1, 5):
+            for width in range(1, 6):
+                model = distinct_model(rng, depth, width)
+                assert rel_err(expansion_array(model), path_sum_expansion(model)) < 1e-12
+
+    def test_factorized_students(self):
+        rng = d.seeded_rng(34)
+        for depth in range(2, 6):
+            for width in range(2, 5):
+                teacher = d.sample_teacher(depth * (width - 1) + 1, 2.0, rng)
+                student, _ = d.factorize(teacher, depth)
+                assert rel_err(
+                    expansion_array(student), path_sum_expansion(student)
+                ) < 1e-12
+
+    def test_zero_eigenvalues_zero_rows_and_resonances(self):
+        # Same coefficients where the oracle has an expansion, the same
+        # error where it raises.
+        rng = d.seeded_rng(35)
+        seen = set()
+        for trial in range(300):
+            depth, width = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            model = distinct_model(rng, depth, width)
+            diags = [layer.state_diag.copy() for layer in model.layers]
+            mats = [layer.input_matrix.copy() for layer in model.layers]
+            read_out = model.read_out.copy()
+            for diag, mat in zip(diags, mats):
+                diag[rng.random(width) < 0.4] = 0.0
+                mat[rng.random(width) < 0.3] = 0.0
+            read_out[rng.random(width) < 0.2] = 0.0
+            if rng.random() < 0.1:
+                diags[-1][-1] = diags[0][0]
+            model = d.DeepLinearSSM(
+                tuple(d.LayerParams(a, b) for a, b in zip(diags, mats)), read_out
+            )
+            want = outcome(path_sum_expansion, model)
+            got = outcome(expansion_array, model)
+            if isinstance(want, type):
+                assert got is want, f"trial {trial}"
+                seen.add(want)
+            else:
+                assert not isinstance(got, type), f"trial {trial}: {got}"
+                assert rel_err(got, want) < 1e-12, f"trial {trial}"
+                seen.add("expanded")
+        assert seen == {d.ZeroEigenvalue, d.ResonantEigenvalues, "expanded"}
 
 
 class TestReduceNormal:

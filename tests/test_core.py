@@ -8,6 +8,7 @@ import pytest
 import deepssm as d
 from conftest import (
     distinct_model,
+    path_sum_kernel,
     random_model,
     random_normal_dense,
     rel_err,
@@ -185,6 +186,48 @@ class TestKernels:
         assert rel_err(taps, want) < 1e-10
         closed = d.kernel_closed_form(model, 48).taps
         assert rel_err(closed, want) < 1e-10
+
+    def test_closed_form_matches_path_sum(self):
+        rng = d.seeded_rng(11)
+        for depth in range(1, 5):
+            for width in range(1, 6):
+                model = random_model(rng, depth, width)
+                want = path_sum_kernel(model, 64)
+                assert rel_err(d.kernel_closed_form(model, 64).taps, want) < 1e-12
+                student, _ = d.factorize(d.sample_teacher(depth * width + 1, 2.0, rng), depth)
+                want = path_sum_kernel(student, 64)
+                assert rel_err(d.kernel_closed_form(student, 64).taps, want) < 1e-12
+
+    def test_closed_form_with_zero_eigenvalues_and_rows(self):
+        rng = d.seeded_rng(12)
+        for trial in range(40):
+            depth, width = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            layers = []
+            for layer in random_model(rng, depth, width).layers:
+                diag, mat = layer.state_diag.copy(), layer.input_matrix.copy()
+                diag[rng.random(width) < 0.4] = 0.0
+                mat[rng.random(width) < 0.3] = 0.0
+                layers.append(d.LayerParams(diag, mat))
+            read_out = rng.standard_normal(width)
+            read_out[rng.random(width) < 0.2] = 0.0
+            model = d.DeepLinearSSM(tuple(layers), read_out)
+            got = d.kernel_closed_form(model, 32).taps
+            assert rel_err(got, path_sum_kernel(model, 32)) < 1e-12, f"trial {trial}"
+
+    def test_closed_form_dead_overflowing_channel_adds_nothing(self):
+        # Channel 0 of layer 1 grows as 1.5**t and overflows near t = 1750,
+        # but B_2 has a zero column there: every path through it is dead.
+        model = d.DeepLinearSSM(
+            (
+                d.LayerParams([1.5, 0.5], [[1.0], [1.0]]),
+                d.LayerParams([0.5, 0.6], [[0.0, 1.0], [0.0, 1.0]]),
+            ),
+            [1.0, 1.0],
+        )
+        with pytest.warns(d.StabilityWarning):
+            taps = d.kernel_closed_form(model, 2000).taps
+        assert np.all(np.isfinite(taps))
+        assert rel_err(taps, path_sum_kernel(model, 2000)) < 1e-12
 
     def test_default_horizon(self):
         model = random_model(d.seeded_rng(8), 1, 2)

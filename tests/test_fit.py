@@ -95,6 +95,33 @@ class TestTrainConfig:
         with pytest.raises(d.DomainError):
             d.TrainConfig(init_scale=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", True),
+            ("learning_rate", "0.1"),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("learning_rate", 10**400),
+            ("init_scale", None),
+            ("init_scale", float("inf")),
+            ("steps", "abc"),
+            ("steps", 10.0),
+            ("steps", True),
+            ("seed", 1.5),
+            ("seed", [0]),
+            ("stability_projection", 1),
+            ("stability_projection", "yes"),
+        ],
+    )
+    def test_wrong_types_are_domain_errors(self, field, value):
+        with pytest.raises(d.DomainError):
+            d.TrainConfig.from_json_dict({field: value})
+
+    def test_numpy_scalars_accepted(self):
+        config = d.TrainConfig(learning_rate=np.float64(0.1), steps=np.int64(3))
+        assert config.steps == 3
+
 
 class TestKernelLoss:
     def test_hand_value(self):
@@ -175,6 +202,14 @@ class TestTrain:
         for before, after in zip(model.layers, fitted.layers):
             np.testing.assert_array_equal(before.state_diag, after.state_diag)
             np.testing.assert_array_equal(before.input_matrix, after.input_matrix)
+
+    def test_trace_holds_each_step_models_loss(self):
+        model = d.init_model(2, 3, d.seeded_rng(49))
+        target = d.impulse_target(2, 24).kernel()
+        _, trace = d.train(model, target, d.TrainConfig(learning_rate=0.05, steps=3))
+        for steps in range(4):
+            fitted, _ = d.train(model, target, d.TrainConfig(learning_rate=0.05, steps=steps))
+            assert trace[steps] == d.kernel_loss(fitted, target)
 
     def test_loss_decreases_on_easy_problem(self):
         model = d.init_model(1, 3, d.seeded_rng(45))
