@@ -9,172 +9,13 @@ constructive and certifies the bound, :mod:`deepssm.fit` probes it
 empirically with small gradient-descent experiments.
 """
 
-from .errors import (
-    DeepSsmError,
-    InputError,
-    NumericalError,
-    WidthMismatch,
-    ShapeMismatch,
-    HorizonMismatch,
-    ShiftOutOfHorizon,
-    DomainError,
-    UnsortedInput,
-    DegenerateEigenvalues,
-    ZeroEigenvalue,
-    ResonantEigenvalues,
-    NotNormal,
-    IllConditionedDiagonalization,
-    DivergenceDetected,
-    UnstableModel,
-    StabilityWarning,
-)
-from .symfun import (
-    DISTINCTNESS_RTOL,
-    homogeneous_sum,
-    homogeneous_sequence,
-    extend_homogeneous,
-    f_rational,
-    telescope_coefficients,
-    coincident_pairs,
-)
-from .core import (
-    DEFAULT_HORIZON,
-    LayerParams,
-    DeepLinearSSM,
-    ShallowRealization,
-    ConvolutionKernel,
-    DenseSSM,
-    DenseDeepSSM,
-    MembershipReport,
-    simulate,
-    kernel_by_simulation,
-    kernel_closed_form,
-    convolve,
-    check_membership,
-    parameter_norm,
-    model_to_json_dict,
-    model_from_json_dict,
-    save_model,
-    load_model,
-    dense_to_json_dict,
-    dense_from_json_dict,
-    save_dense,
-    load_dense,
-    kernel_csv_text,
-    parse_kernel_csv,
-    save_kernel_csv,
-    load_kernel_csv,
-    atomic_write_text,
-)
-from .convert import (
-    CERTIFICATE_RTOL,
-    NormCertificate,
-    ExpansionEntry,
-    ExpansionTable,
-    DepthPlan,
-    collapse,
-    factorize,
-    minimal_depth,
-    expand_coefficients,
-    reduce_normal,
-    diagonalize_general,
-)
-from .fit import (
-    ImpulseTarget,
-    impulse_target,
-    TrainConfig,
-    ModelGradient,
-    ExperimentRecord,
-    seeded_rng,
-    init_model,
-    sample_teacher,
-    kernel_loss,
-    kernel_gradient,
-    train,
-    teacher_student_experiment,
-    depth_sweep_impulse,
-    records_csv_text,
-    save_records_csv,
-)
+from . import convert, core, errors, fit, symfun
+from .convert import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .fit import *  # noqa: F401,F403
+from .symfun import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DeepSsmError",
-    "InputError",
-    "NumericalError",
-    "WidthMismatch",
-    "ShapeMismatch",
-    "HorizonMismatch",
-    "ShiftOutOfHorizon",
-    "DomainError",
-    "UnsortedInput",
-    "DegenerateEigenvalues",
-    "ZeroEigenvalue",
-    "ResonantEigenvalues",
-    "NotNormal",
-    "IllConditionedDiagonalization",
-    "DivergenceDetected",
-    "UnstableModel",
-    "StabilityWarning",
-    "DISTINCTNESS_RTOL",
-    "homogeneous_sum",
-    "homogeneous_sequence",
-    "extend_homogeneous",
-    "f_rational",
-    "telescope_coefficients",
-    "coincident_pairs",
-    "DEFAULT_HORIZON",
-    "LayerParams",
-    "DeepLinearSSM",
-    "ShallowRealization",
-    "ConvolutionKernel",
-    "DenseSSM",
-    "DenseDeepSSM",
-    "MembershipReport",
-    "simulate",
-    "kernel_by_simulation",
-    "kernel_closed_form",
-    "convolve",
-    "check_membership",
-    "parameter_norm",
-    "model_to_json_dict",
-    "model_from_json_dict",
-    "save_model",
-    "load_model",
-    "dense_to_json_dict",
-    "dense_from_json_dict",
-    "save_dense",
-    "load_dense",
-    "kernel_csv_text",
-    "parse_kernel_csv",
-    "save_kernel_csv",
-    "load_kernel_csv",
-    "atomic_write_text",
-    "CERTIFICATE_RTOL",
-    "NormCertificate",
-    "ExpansionEntry",
-    "ExpansionTable",
-    "DepthPlan",
-    "collapse",
-    "factorize",
-    "minimal_depth",
-    "expand_coefficients",
-    "reduce_normal",
-    "diagonalize_general",
-    "ImpulseTarget",
-    "impulse_target",
-    "TrainConfig",
-    "ModelGradient",
-    "ExperimentRecord",
-    "seeded_rng",
-    "init_model",
-    "sample_teacher",
-    "kernel_loss",
-    "kernel_gradient",
-    "train",
-    "teacher_student_experiment",
-    "depth_sweep_impulse",
-    "records_csv_text",
-    "save_records_csv",
-]
+__all__ = [*errors.__all__, *symfun.__all__, *core.__all__, *convert.__all__, *fit.__all__]

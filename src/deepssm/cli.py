@@ -8,6 +8,7 @@ input, 3 numerical failure (degenerate or ill-conditioned data).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -18,6 +19,7 @@ from .convert import expand_coefficients, factorize, minimal_depth, collapse
 from .core import (
     DEFAULT_HORIZON,
     ShallowRealization,
+    _write_json,
     atomic_write_text,
     check_membership,
     kernel_by_simulation,
@@ -30,6 +32,7 @@ from .core import (
 from .errors import DeepSsmError, InputError, ShapeMismatch
 from .fit import (
     TrainConfig,
+    _checked,
     depth_sweep_impulse,
     save_records_csv,
     teacher_student_experiment,
@@ -102,6 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: building it costs more than most verbs."""
+    return build_parser()
+
+
 def _load_config(path) -> dict:
     with open(path, "r") as handle:
         config = json.load(handle)
@@ -110,18 +119,13 @@ def _load_config(path) -> dict:
     return config
 
 
-def _require(config: dict, key: str):
+def _value(config: dict, key: str, kind: type, default=None):
+    """``config[key]`` checked to be of ``kind``; required unless a default is given."""
     if key not in config:
-        raise ShapeMismatch(f"config is missing required key '{key}'")
-    return config[key]
-
-
-def _write_json(data: dict, path: str | None) -> None:
-    text = json.dumps(data, indent=2)
-    if path is None:
-        print(text)
-    else:
-        atomic_write_text(path, text + "\n")
+        if default is None:
+            raise ShapeMismatch(f"config is missing required key '{key}'")
+        return default
+    return _checked(key, config[key], kind)
 
 
 def _cmd_kernel(args) -> int:
@@ -151,7 +155,7 @@ def _cmd_factorize(args) -> int:
     if cert_path is None:
         stem, _ = os.path.splitext(args.output)
         cert_path = stem + ".cert.json"
-    _write_json(certificate.to_json_dict(), cert_path)
+    _write_json(certificate, cert_path)
     return 0
 
 
@@ -172,7 +176,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_plan_depth(args) -> int:
     plan = minimal_depth(args.c1, args.c2, args.modes)
-    _write_json(plan.to_json_dict(), args.output)
+    _write_json(plan, args.output)
     return 0
 
 
@@ -182,12 +186,12 @@ def _cmd_train_impulse(args) -> int:
     if args.seed is not None:
         train_config = replace(train_config, seed=args.seed)
     records = depth_sweep_impulse(
-        _require(config, "shift"),
-        config.get("horizon", DEFAULT_HORIZON),
-        _require(config, "effective_width"),
-        _require(config, "depths"),
+        _value(config, "shift", int),
+        _value(config, "horizon", int, DEFAULT_HORIZON),
+        _value(config, "effective_width", int),
+        _value(config, "depths", list),
         train_config,
-        real=bool(config.get("real_params", False)) or args.real_params,
+        real=_value(config, "real_params", bool, False) or args.real_params,
     )
     save_records_csv(records, args.output)
     return 0
@@ -195,14 +199,14 @@ def _cmd_train_impulse(args) -> int:
 
 def _cmd_teacher_student(args) -> int:
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else _require(config, "seed")
+    seed = args.seed if args.seed is not None else _value(config, "seed", int)
     records = teacher_student_experiment(
         seed,
-        _require(config, "depths"),
-        _require(config, "width"),
-        _require(config, "norm_scale"),
-        real=bool(config.get("real_params", False)) or args.real_params,
-        horizon=config.get("horizon", DEFAULT_HORIZON),
+        _value(config, "depths", list),
+        _value(config, "width", int),
+        _value(config, "norm_scale", float),
+        real=_value(config, "real_params", bool, False) or args.real_params,
+        horizon=_value(config, "horizon", int, DEFAULT_HORIZON),
     )
     save_records_csv(records, args.output)
     return 0
@@ -222,9 +226,8 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

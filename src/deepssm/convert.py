@@ -34,7 +34,9 @@ from .core import (
     DenseSSM,
     LayerParams,
     ShallowRealization,
+    _csv_text,
     _mix,
+    _pairs,
     _stack,
     parameter_norm,
 )
@@ -89,13 +91,6 @@ class NormCertificate:
             satisfied=bool(measured_max <= z0 * (1.0 + CERTIFICATE_RTOL)),
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "z0": self.z0,
-            "measured_max": self.measured_max,
-            "satisfied": self.satisfied,
-        }
-
 
 @dataclass(frozen=True)
 class ExpansionEntry:
@@ -130,26 +125,22 @@ class ExpansionTable:
         return max(abs(entry.coefficient) for entry in self.entries)
 
     def to_json_dict(self) -> dict:
+        values = [(e.eigenvalue, e.coefficient) for e in self.entries]
+        pairs = _pairs(np.array(values, dtype=complex).reshape(-1, 2))
         return {
             "entries": [
-                {
-                    "layer": e.layer,
-                    "index": e.index,
-                    "eigenvalue": [e.eigenvalue.real, e.eigenvalue.imag],
-                    "coefficient": [e.coefficient.real, e.coefficient.imag],
-                }
-                for e in self.entries
+                {"layer": e.layer, "index": e.index, "eigenvalue": lam, "coefficient": xi}
+                for e, (lam, xi) in zip(self.entries, pairs)
             ]
         }
 
     def csv_text(self) -> str:
-        lines = ["layer,index,lambda_re,lambda_im,xi_re,xi_im"]
-        for e in self.entries:
-            lines.append(
-                f"{e.layer},{e.index},{e.eigenvalue.real!r},{e.eigenvalue.imag!r},"
-                f"{e.coefficient.real!r},{e.coefficient.imag!r}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = (
+            (e.layer, e.index, e.eigenvalue.real, e.eigenvalue.imag,
+             e.coefficient.real, e.coefficient.imag)
+            for e in self.entries
+        )
+        return _csv_text("layer,index,lambda_re,lambda_im,xi_re,xi_im", rows)
 
 
 @dataclass(frozen=True)
@@ -159,13 +150,6 @@ class DepthPlan:
     depth: int
     width: int
     predicted_bound: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "width": self.width,
-            "predicted_bound": self.predicted_bound,
-        }
 
 
 def collapse(model: DeepLinearSSM) -> DenseSSM:

@@ -24,20 +24,25 @@ over time: per block of ``_BLOCK`` steps, seeded with the last state of the
 block before, it doubles ``h[k:] += A^k h[:-k]`` for k = 1, 2, 4, ...
 Scratch memory is a few ``(_BLOCK, width)`` arrays, whatever the horizon.
 
-Complex scalars serialize as ``[re, im]`` pairs and matrices row-major,
-so JSON round-trips are bit-for-bit (Python emits shortest round-trip
-decimal reprs).
+Every file format lives in one codec at the end of this module.
+:func:`_pairs` writes a complex array of any rank as nested ``[re, im]``
+pairs (matrices row-major) and :func:`_complex_array` reads it back,
+refusing anything but a rectangular nest of int or float pairs.  One JSON
+writer (indent 2, to a file replaced atomically or to stdout) and one CSV
+formatter write every file.  Floats are written as their shortest
+round-trip decimal and read back through a float-to-complex view, so round
+trips are bit-for-bit, signed zeros included.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 import json
 import os
+import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -62,21 +67,16 @@ __all__ = [
     "simulate",
     "kernel_by_simulation",
     "kernel_closed_form",
-    "convolve",
     "check_membership",
     "parameter_norm",
     "model_to_json_dict",
     "model_from_json_dict",
     "save_model",
     "load_model",
-    "dense_to_json_dict",
-    "dense_from_json_dict",
     "save_dense",
     "load_dense",
     "kernel_csv_text",
-    "parse_kernel_csv",
     "save_kernel_csv",
-    "load_kernel_csv",
     "atomic_write_text",
 ]
 
@@ -513,14 +513,6 @@ def kernel_closed_form(
     return ConvolutionKernel(_mix(model.read_out[None, :], seqs)[0])
 
 
-def convolve(kernel: ConvolutionKernel, inputs) -> np.ndarray:
-    """Causal convolution ``y(t) = sum_s taps[s] x(t-s)`` truncated to len(x)."""
-    x = np.atleast_1d(np.asarray(inputs, dtype=complex))
-    if x.ndim != 1:
-        raise ShapeMismatch(f"inputs must be a scalar sequence, got shape {x.shape}")
-    return np.convolve(kernel.taps, x)[: x.size]
-
-
 def parameter_norm(model: DeepLinearSSM) -> float:
     """Largest modulus over all norm-constrained parameters (B's and C)."""
     return max(float(np.max(np.abs(arr))) for _, arr in model.constrained_parameters())
@@ -561,61 +553,88 @@ def check_membership(model: DeepLinearSSM, bound: float) -> MembershipReport:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: the one codec behind every file the package writes or reads
 
 
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def _pairs(arr: np.ndarray) -> list:
+    """Complex array of any rank as nested lists of ``[re, im]`` pairs."""
+    return np.stack((arr.real, arr.imag), -1).tolist()
 
 
-def _unpair(obj) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
+def _is_pair(obj) -> bool:
+    return (
+        isinstance(obj, (list, tuple))
+        and len(obj) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
+    )
+
+
+def _complex_array(obj, ndim: int) -> np.ndarray:
+    """Inverse of :func:`_pairs` for a rank-``ndim`` array.
+
+    ``obj`` must be ``ndim`` levels of lists (the outermost non-empty for a
+    matrix), rectangular, around ``[re, im]`` pairs of ints or floats; bools
+    and strings are refused.  Floats become complex through a view, which
+    keeps the sign of every zero.
+    """
+    nest, sizes = [obj], []
+    for level in range(ndim):
+        lists = all(isinstance(item, list) for item in nest)
+        if not lists or (level == 0 and ndim > 1 and not obj):
+            raise ShapeMismatch(f"expected a rank-{ndim} nest of [re, im] pairs, got {obj!r}")
+        sizes.append({len(item) for item in nest})
+        nest = [entry for item in nest for entry in item]
+    bad = len(nest)
+    # Exact JSON types pass at C speed; anything else is looked at pair by pair.
+    if not (
+        set(map(type, nest)) <= {list}
+        and set(map(len, nest)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(nest))) <= {float, int}
     ):
-        raise ShapeMismatch(f"expected a [re, im] pair, got {obj!r}")
+        bad = next((i for i, pair in enumerate(nest) if not _is_pair(pair)), bad)
     try:
-        return complex(obj[0], obj[1])
+        # The pairs before the first malformed one, so errors come in entry order.
+        flat = np.array(nest[:bad], dtype=float).reshape(-1, 2)
     except OverflowError as exc:
         raise DomainError(f"[re, im] pair does not fit a float: {exc}") from exc
-
-
-def _vector_json(arr: np.ndarray) -> list:
-    return [_pair(z) for z in np.asarray(arr).ravel()]
-
-
-def _matrix_json(arr: np.ndarray) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(arr)]
-
-
-def _vector_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise ShapeMismatch(f"expected a list of [re, im] pairs, got {obj!r}")
-    return np.array([_unpair(p) for p in obj], dtype=complex)
-
-
-def _matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise ShapeMismatch(f"expected a list of rows, got {obj!r}")
-    rows = [[_unpair(p) for p in row] for row in obj]
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+    if bad < len(nest):
+        raise ShapeMismatch(f"expected a [re, im] pair, got {nest[bad]!r}")
+    if any(len(level) > 1 for level in sizes):
         raise ShapeMismatch("matrix rows have differing lengths")
-    return np.array(rows, dtype=complex)
+    return flat.view(complex).reshape([max(level, default=0) for level in sizes])
+
+
+def _write_json(data, path) -> None:
+    """Write ``data`` (a dict, or a dataclass by its fields) as indented JSON.
+
+    The file at ``path`` is replaced atomically; with ``path`` None the JSON
+    goes to stdout.
+    """
+    if is_dataclass(data):
+        data = asdict(data)
+    text = json.dumps(data, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        atomic_write_text(path, text)
+
+
+def _csv_text(header: str, rows) -> str:
+    """The ``header`` line, then each row's values joined by commas.
+
+    Values are written with ``str``; for a float that is the shortest text
+    that reads back to the same float, so round-trips are bit-exact.
+    """
+    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def model_to_json_dict(model: DeepLinearSSM) -> dict:
     return {
         "layers": [
-            {
-                "state_diag": _vector_json(layer.state_diag),
-                "input_matrix": _matrix_json(layer.input_matrix),
-            }
+            {"state_diag": _pairs(layer.state_diag), "input_matrix": _pairs(layer.input_matrix)}
             for layer in model.layers
         ],
-        "read_out": _vector_json(model.read_out),
+        "read_out": _pairs(model.read_out),
     }
 
 
@@ -631,32 +650,11 @@ def model_from_json_dict(data) -> DeepLinearSSM:
             raise ShapeMismatch("each layer must be an object")
         layers.append(
             LayerParams(
-                _vector_from_json(entry.get("state_diag")),
-                _matrix_from_json(entry.get("input_matrix")),
+                _complex_array(entry.get("state_diag"), 1),
+                _complex_array(entry.get("input_matrix"), 2),
             )
         )
-    return DeepLinearSSM(tuple(layers), _vector_from_json(data["read_out"]))
-
-
-def dense_to_json_dict(dense: DenseSSM) -> dict:
-    return {
-        "state_matrix": _matrix_json(dense.state_matrix),
-        "read_in": _vector_json(dense.read_in),
-        "read_out": _vector_json(dense.read_out),
-    }
-
-
-def dense_from_json_dict(data) -> DenseSSM:
-    if not isinstance(data, dict):
-        raise ShapeMismatch("dense model JSON must be an object")
-    try:
-        return DenseSSM(
-            _matrix_from_json(data["state_matrix"]),
-            _vector_from_json(data["read_in"]),
-            _vector_from_json(data["read_out"]),
-        )
-    except KeyError as exc:
-        raise ShapeMismatch(f"dense model JSON is missing {exc}") from exc
+    return DeepLinearSSM(tuple(layers), _complex_array(data["read_out"], 1))
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -675,7 +673,7 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def save_model(model: DeepLinearSSM, path) -> None:
-    atomic_write_text(path, json.dumps(model_to_json_dict(model), indent=2) + "\n")
+    _write_json(model_to_json_dict(model), path)
 
 
 def load_model(path) -> DeepLinearSSM:
@@ -684,46 +682,35 @@ def load_model(path) -> DeepLinearSSM:
 
 
 def save_dense(dense: DenseSSM, path) -> None:
-    atomic_write_text(path, json.dumps(dense_to_json_dict(dense), indent=2) + "\n")
+    _write_json(
+        {
+            "state_matrix": _pairs(dense.state_matrix),
+            "read_in": _pairs(dense.read_in),
+            "read_out": _pairs(dense.read_out),
+        },
+        path,
+    )
 
 
 def load_dense(path) -> DenseSSM:
     with open(path, "r") as handle:
-        return dense_from_json_dict(json.load(handle))
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ShapeMismatch("dense model JSON must be an object")
+    try:
+        return DenseSSM(
+            _complex_array(data["state_matrix"], 2),
+            _complex_array(data["read_in"], 1),
+            _complex_array(data["read_out"], 1),
+        )
+    except KeyError as exc:
+        raise ShapeMismatch(f"dense model JSON is missing {exc}") from exc
 
 
 def kernel_csv_text(kernel: ConvolutionKernel) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "re", "im"])
-    for t, tap in enumerate(kernel.taps):
-        writer.writerow([t, repr(float(tap.real)), repr(float(tap.imag))])
-    return buf.getvalue()
-
-
-def parse_kernel_csv(text: str) -> ConvolutionKernel:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["t", "re", "im"]:
-        raise ShapeMismatch(f"unexpected kernel CSV header: {header!r}")
-    taps = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ShapeMismatch(f"bad kernel CSV row: {row!r}")
-        if int(row[0]) != len(taps):
-            raise ShapeMismatch("kernel CSV rows must be consecutive from t = 0")
-        taps.append(complex(float(row[1]), float(row[2])))
-    if not taps:
-        raise ShapeMismatch("kernel CSV holds no taps")
-    return ConvolutionKernel(np.array(taps, dtype=complex))
+    taps = kernel.taps
+    return _csv_text("t,re,im", zip(range(taps.size), taps.real.tolist(), taps.imag.tolist()))
 
 
 def save_kernel_csv(kernel: ConvolutionKernel, path) -> None:
     atomic_write_text(path, kernel_csv_text(kernel))
-
-
-def load_kernel_csv(path) -> ConvolutionKernel:
-    with open(path, "r", newline="") as handle:
-        return parse_kernel_csv(handle.read())

@@ -21,7 +21,7 @@ import logging
 import numbers
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .core import (
     DeepLinearSSM,
     LayerParams,
     ShallowRealization,
+    _csv_text,
     _layer_blocks,
     _response,
     _stack,
@@ -110,6 +111,38 @@ def impulse_target(shift: int, horizon: int = DEFAULT_HORIZON) -> ImpulseTarget:
     return ImpulseTarget(shift=int(shift), horizon=int(horizon))
 
 
+#: How an error message names each kind that :func:`_checked` accepts.
+_KINDS = {
+    int: "an integer",
+    float: "a finite number",
+    bool: "true or false",
+    list: "a list of integers",
+}
+
+
+def _checked(name: str, value, kind: type):
+    """``value`` if it is of ``kind`` as :data:`_KINDS` names it, else
+    :class:`DomainError`.
+
+    A bool is only ever true or false, never a number; numpy scalars are
+    accepted.
+    """
+    if isinstance(value, bool) or kind is bool:
+        ok = isinstance(value, bool) and kind is bool
+    elif kind is list:
+        ok = isinstance(value, list) and all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in value
+        )
+    elif kind is int:
+        ok = isinstance(value, numbers.Integral)
+    else:
+        # The bound also refuses nan and integers too large for a float.
+        ok = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    if not ok:
+        raise DomainError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of the plain gradient-descent loop."""
@@ -121,20 +154,14 @@ class TrainConfig:
     stability_projection: bool = True
 
     def __post_init__(self):
-        for name in ("learning_rate", "init_scale"):
-            value = getattr(self, name)
-            # The bound also refuses nan and integers too large for a float.
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not real or not abs(value) <= sys.float_info.max:
-                raise DomainError(f"{name} must be a finite number, got {value!r}")
-        for name in ("steps", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.stability_projection, bool):
-            raise DomainError(
-                f"stability_projection must be true or false, got {self.stability_projection!r}"
-            )
+        for name, kind in (
+            ("learning_rate", float),
+            ("init_scale", float),
+            ("steps", int),
+            ("seed", int),
+            ("stability_projection", bool),
+        ):
+            _checked(name, getattr(self, name), kind)
         if self.learning_rate < 0:
             raise DomainError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.steps < 0:
@@ -143,13 +170,7 @@ class TrainConfig:
             raise DomainError(f"init_scale must be positive, got {self.init_scale}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "steps": self.steps,
-            "seed": self.seed,
-            "init_scale": self.init_scale,
-            "stability_projection": self.stability_projection,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data) -> "TrainConfig":
@@ -457,6 +478,8 @@ def depth_sweep_impulse(
     target = impulse_target(shift, horizon).kernel()
     records = []
     for depth in depths:
+        if depth < 1:
+            raise DomainError(f"depth must be at least 1, got {depth}")
         if (effective_width - 1) % depth != 0:
             logger.warning(
                 "depth %d skipped: effective width %d is not depth * (width - 1) + 1",
@@ -496,13 +519,8 @@ def records_csv_text(records) -> str:
         base = records[0].wall_time
     if not base or base <= 0:
         base = 1.0
-    lines = ["depth,width,seed,final_loss,max_param_norm,equiv_shallow_max_norm,wall_time_rel"]
-    for r in records:
-        lines.append(
-            f"{r.depth},{r.width},{r.seed},{r.final_loss!r},{r.max_param_norm!r},"
-            f"{r.equiv_shallow_max_norm!r},{r.wall_time / base!r}"
-        )
-    return "\n".join(lines) + "\n"
+    header = "depth,width,seed,final_loss,max_param_norm,equiv_shallow_max_norm,wall_time_rel"
+    return _csv_text(header, (r.content() + (r.wall_time / base,) for r in records))
 
 
 def save_records_csv(records, path) -> None:

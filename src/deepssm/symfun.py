@@ -32,7 +32,6 @@ from .errors import (
 __all__ = [
     "DISTINCTNESS_RTOL",
     "homogeneous_sum",
-    "homogeneous_sequence",
     "extend_homogeneous",
     "f_rational",
     "telescope_coefficients",
@@ -105,18 +104,6 @@ def extend_homogeneous(seqs: np.ndarray, alpha: complex) -> np.ndarray:
         seqs,
         axis=-1,
     )
-
-
-def homogeneous_sequence(alphas, count: int) -> np.ndarray:
-    """Degrees ``0 .. count-1`` of the complete homogeneous sum, as a vector."""
-    arr = _as_complex_vector(alphas, "alphas")
-    if count < 1:
-        raise DomainError(f"count must be positive, got {count}")
-    seq = np.zeros(count, dtype=complex)
-    seq[0] = 1.0
-    for value in arr:
-        seq = extend_homogeneous(seq, value)
-    return seq
 
 
 def f_rational(alphas, k: int) -> complex:

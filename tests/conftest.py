@@ -1,6 +1,9 @@
 """Shared samplers, comparison helpers and reference oracles for the test suite."""
 
+import csv
+import io
 import itertools
+import json
 
 import numpy as np
 
@@ -64,6 +67,46 @@ def random_normal_dense(rng, width, *, entry_scale=1.0):
         return mags * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, width))
 
     return d.DenseSSM(state, vector(), vector())
+
+
+def homogeneous_sequence(alphas, count):
+    """Degrees ``0 .. count-1`` of the complete homogeneous sum, as a vector."""
+    seq = np.zeros(count, dtype=complex)
+    seq[0] = 1.0
+    for value in np.atleast_1d(alphas):
+        seq = d.extend_homogeneous(seq, value)
+    return seq
+
+
+def convolve(kernel, inputs):
+    """Causal convolution ``y(t) = sum_s taps[s] x(t-s)`` truncated to len(x)."""
+    x = np.atleast_1d(np.asarray(inputs, dtype=complex))
+    return np.convolve(kernel.taps, x)[: x.size]
+
+
+def parse_kernel_csv(text):
+    """Kernel from the text of a kernel CSV (header ``t,re,im``)."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != ["t", "re", "im"]:
+        raise d.ShapeMismatch(f"unexpected kernel CSV header: {header!r}")
+    taps = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 3:
+            raise d.ShapeMismatch(f"bad kernel CSV row: {row!r}")
+        if int(row[0]) != len(taps):
+            raise d.ShapeMismatch("kernel CSV rows must be consecutive from t = 0")
+        taps.append(complex(float(row[1]), float(row[2])))
+    if not taps:
+        raise d.ShapeMismatch("kernel CSV holds no taps")
+    return d.ConvolutionKernel(np.array(taps, dtype=complex))
+
+
+def load_kernel_csv(path):
+    with open(path, "r", newline="") as handle:
+        return parse_kernel_csv(handle.read())
 
 
 def sequential_response(states, mixes, read_out, inputs):
@@ -166,3 +209,108 @@ def path_sum_kernel(model, horizon):
         last = np.concatenate(next_last)
 
     return (weights * model.read_out[last]) @ seqs
+
+
+# The writers each file format had before one codec wrote them all, kept as
+# byte-level oracles: one ``[re, im]`` pair per Python call, ``csv.writer``
+# and f-strings for the CSV files, and hand-copied dicts for the small JSON
+# reports.
+
+
+def _entrywise_pair(z):
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def _indented_json(data):
+    return json.dumps(data, indent=2) + "\n"
+
+
+def entrywise_model_json(model):
+    return _indented_json(
+        {
+            "layers": [
+                {
+                    "state_diag": [_entrywise_pair(z) for z in layer.state_diag],
+                    "input_matrix": [
+                        [_entrywise_pair(z) for z in row] for row in layer.input_matrix
+                    ],
+                }
+                for layer in model.layers
+            ],
+            "read_out": [_entrywise_pair(z) for z in model.read_out],
+        }
+    )
+
+
+def entrywise_dense_json(dense):
+    return _indented_json(
+        {
+            "state_matrix": [[_entrywise_pair(z) for z in row] for row in dense.state_matrix],
+            "read_in": [_entrywise_pair(z) for z in dense.read_in],
+            "read_out": [_entrywise_pair(z) for z in dense.read_out],
+        }
+    )
+
+
+def entrywise_expansion_json(table):
+    return _indented_json(
+        {
+            "entries": [
+                {
+                    "layer": e.layer,
+                    "index": e.index,
+                    "eigenvalue": [e.eigenvalue.real, e.eigenvalue.imag],
+                    "coefficient": [e.coefficient.real, e.coefficient.imag],
+                }
+                for e in table.entries
+            ]
+        }
+    )
+
+
+def csv_writer_kernel_csv(kernel):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "re", "im"])
+    for t, tap in enumerate(kernel.taps):
+        writer.writerow([t, repr(float(tap.real)), repr(float(tap.imag))])
+    return buf.getvalue()
+
+
+def fstring_expansion_csv(table):
+    lines = ["layer,index,lambda_re,lambda_im,xi_re,xi_im"]
+    for e in table.entries:
+        lines.append(
+            f"{e.layer},{e.index},{e.eigenvalue.real!r},{e.eigenvalue.imag!r},"
+            f"{e.coefficient.real!r},{e.coefficient.imag!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def fstring_records_csv(records):
+    records = list(records)
+    base = next((r.wall_time for r in records if r.depth == 1), None)
+    if base is None and records:
+        base = records[0].wall_time
+    if not base or base <= 0:
+        base = 1.0
+    lines = ["depth,width,seed,final_loss,max_param_norm,equiv_shallow_max_norm,wall_time_rel"]
+    for r in records:
+        lines.append(
+            f"{r.depth},{r.width},{r.seed},{r.final_loss!r},{r.max_param_norm!r},"
+            f"{r.equiv_shallow_max_norm!r},{r.wall_time / base!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def certificate_json(cert):
+    return _indented_json(
+        {"z0": cert.z0, "measured_max": cert.measured_max, "satisfied": cert.satisfied}
+    )
+
+
+def plan_json(plan):
+    return _indented_json(
+        {"depth": plan.depth, "width": plan.width, "predicted_bound": plan.predicted_bound}
+    )

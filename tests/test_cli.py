@@ -14,7 +14,7 @@ import pytest
 
 import deepssm as d
 from deepssm import cli
-from conftest import distinct_model, random_model, rel_err
+from conftest import distinct_model, load_kernel_csv, random_model, rel_err
 
 
 def write_model(model, path):
@@ -47,6 +47,10 @@ def strip_wall_time(csv_text):
     return [line.rsplit(",", 1)[0] for line in csv_text.splitlines()]
 
 
+def config_text(base, **changes):
+    return json.dumps({**base, **changes})
+
+
 @pytest.fixture
 def teacher_path(tmp_path):
     teacher = d.sample_teacher(7, 2.0, d.seeded_rng(50))
@@ -75,8 +79,8 @@ class TestKernelCommand:
             )
             == 0
         )
-        sim = d.load_kernel_csv(sim_path)
-        closed = d.load_kernel_csv(closed_path)
+        sim = load_kernel_csv(sim_path)
+        closed = load_kernel_csv(closed_path)
         assert sim.horizon == d.DEFAULT_HORIZON
         assert rel_err(sim.taps, closed.taps) < 1e-9
 
@@ -88,7 +92,7 @@ class TestKernelCommand:
         assert cli.run(
             ["kernel", "--input", model_path, "--output", str(out), "--horizon", "10"]
         ) == 0
-        assert d.load_kernel_csv(out).horizon == 10
+        assert load_kernel_csv(out).horizon == 10
 
     def test_strict_stability_failure_is_numerical(self, tmp_path):
         unstable = d.DeepLinearSSM((d.LayerParams([1.2], [[1.0]]),), [1.0])
@@ -366,16 +370,37 @@ class TestErrorPaths:
         '"read_out": [[1, 0]]}' % ("0" * 310)
     )
 
+    IMPULSE = ["train-impulse", "--config", "{file}", "--output", "{out}"]
+    SWEEP = ["teacher-student", "--config", "{file}", "--output", "{out}"]
+    IMPULSE_CONFIG = {"shift": 1, "horizon": 12, "effective_width": 3, "depths": [1, 2],
+                      "train": {"steps": 2}}
+    SWEEP_CONFIG = {"seed": 5, "depths": [1, 2], "width": 3, "norm_scale": 4.0}
+
     @pytest.mark.parametrize(
         "text, argv",
         [
-            ("[1, 2]", ["train-impulse", "--config", "{file}", "--output", "{out}"]),
+            ("[1, 2]", IMPULSE),
             (HUGE_INTEGER_MODEL, ["kernel", "--input", "{file}", "--output", "{out}"]),
             (None, ["plan-depth", "--c1", "inf", "--c2", "10", "--modes", "5"]),
-            ('{"train": {"steps": "abc"}}',
-             ["train-impulse", "--config", "{file}", "--output", "{out}"]),
+            ('{"train": {"steps": "abc"}}', IMPULSE),
+            (config_text(IMPULSE_CONFIG, real_params="false"), IMPULSE),
+            (config_text(IMPULSE_CONFIG, depths=[True]), IMPULSE),
+            (config_text(IMPULSE_CONFIG, depths=[0]), IMPULSE),
+            (config_text(IMPULSE_CONFIG, depths="1"), IMPULSE),
+            (config_text(IMPULSE_CONFIG, effective_width=3.0), IMPULSE),
+            (config_text(SWEEP_CONFIG, width=3.5), SWEEP),
+            (config_text(SWEEP_CONFIG, depths=[2.0]), SWEEP),
+            (config_text(SWEEP_CONFIG, norm_scale="2"), SWEEP),
+            (config_text(IMPULSE_CONFIG, shift=5.5, horizon=64), IMPULSE),
+            (config_text(IMPULSE_CONFIG, horizon="16"), IMPULSE),
+            (config_text(SWEEP_CONFIG, seed=1.5), SWEEP),
         ],
-        ids=["config-list", "integer-beyond-float", "infinite-c1", "string-steps"],
+        ids=[
+            "config-list", "integer-beyond-float", "infinite-c1", "string-steps",
+            "string-real-params", "bool-depth", "zero-depth", "string-depths",
+            "float-effective-width", "fractional-width", "float-depth", "string-norm-scale",
+            "fractional-shift", "string-horizon", "fractional-seed",
+        ],
     )
     def test_refused_input_exits_2_with_one_line(self, tmp_path, capsys, text, argv):
         path = tmp_path / "input.json"
@@ -391,6 +416,33 @@ class TestErrorPaths:
         assert cli.run([]) == 2
         assert cli.run(["no-such-command"]) == 2
         capsys.readouterr()
+
+    def test_one_parser_answers_as_a_fresh_one(self, tmp_path, capsys):
+        model_path = write_model(random_model(d.seeded_rng(56), 2, 2), tmp_path / "model.json")
+        kernel_csv = tmp_path / "k.csv"
+        argvs = [
+            ["no-such-command"],
+            ["plan-depth", "--c1", "-4", "--c2", "10", "--modes", "5"],
+            ["plan-depth", "--c1", "4", "--c2", "10", "--modes", "5"],
+            ["kernel", "--input", model_path, "--output", str(kernel_csv)],
+        ]
+
+        def outcomes(fresh_parser):
+            seen = []
+            for argv in argvs:
+                if fresh_parser:
+                    cli._parser.cache_clear()
+                code = cli.run(argv)
+                out, err = capsys.readouterr()
+                seen.append((code, out, err, kernel_csv.read_text() if argv[0] == "kernel" else ""))
+            return seen
+
+        fresh = outcomes(True)
+        assert [code for code, *_ in fresh] == [2, 2, 0, 0]
+        assert outcomes(False) == fresh
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli._parser()
+        assert cli.build_parser().parse_args(argvs[2]).modes == 5
 
 
 class TestInstalledEntryPoint:

@@ -1,0 +1,232 @@
+"""The one codec behind every file format, against the writers it replaced.
+
+Each file must come out byte for byte as the entry-by-entry writers in
+``conftest`` wrote it, on random shapes and on the floats most likely to
+lose a bit: signed zeros, the smallest subnormal, values near overflow and
+integer-valued floats.  Malformed JSON must be refused with the same
+exception classes as before.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import deepssm as d
+from deepssm import cli
+from conftest import (
+    certificate_json,
+    csv_writer_kernel_csv,
+    entrywise_dense_json,
+    entrywise_expansion_json,
+    entrywise_model_json,
+    fstring_expansion_csv,
+    fstring_records_csv,
+    plan_json,
+    random_model,
+)
+
+SPECIAL = [-0.0, 5e-324, -5e-324, 1e308, 3.0, -2.0, 0.0, complex(-0.0, -0.0), complex(0.0, -0.0)]
+
+
+def planted(rng, arr, *, values=SPECIAL):
+    """Copy of ``arr`` with about a third of its entries set to special values."""
+    arr = np.array(arr, dtype=complex)
+    flat = arr.reshape(-1)
+    for k in np.flatnonzero(rng.random(flat.size) < 0.35):
+        flat[k] = values[rng.integers(len(values))]
+    return arr
+
+
+def special_model(rng, depth, width, *, values=SPECIAL):
+    base = random_model(rng, depth, width)
+    layers = tuple(
+        d.LayerParams(
+            planted(rng, x.state_diag, values=values), planted(rng, x.input_matrix, values=values)
+        )
+        for x in base.layers
+    )
+    return d.DeepLinearSSM(layers, planted(rng, base.read_out, values=values))
+
+
+def bits(arr):
+    """Bit patterns of a complex array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+SHAPES = [(depth, width) for depth in range(1, 5) for width in range(1, 6)]
+
+
+@pytest.mark.parametrize("depth, width", SHAPES)
+def test_model_json_bytes_and_bits_survive(tmp_path, depth, width):
+    rng = np.random.default_rng(100 * depth + width)
+    model = special_model(rng, depth, width)
+    path = tmp_path / "model.json"
+    d.save_model(model, path)
+    assert path.read_text() == entrywise_model_json(model)
+    again = d.load_model(path)
+    for a, b in zip(again.layers, model.layers):
+        np.testing.assert_array_equal(bits(a.state_diag), bits(b.state_diag))
+        np.testing.assert_array_equal(bits(a.input_matrix), bits(b.input_matrix))
+    np.testing.assert_array_equal(bits(again.read_out), bits(model.read_out))
+
+
+def test_round_trip_keeps_the_sign_of_every_zero(tmp_path):
+    zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.0)]
+    layer = d.LayerParams(zeros, np.array(zeros)[:, None])
+    model = d.DeepLinearSSM((layer,), zeros[::-1])
+    d.save_model(model, tmp_path / "zeros.json")
+    again = d.load_model(tmp_path / "zeros.json")
+    for a, b in [
+        (again.layers[0].state_diag, layer.state_diag),
+        (again.layers[0].input_matrix, layer.input_matrix),
+        (again.read_out, model.read_out),
+    ]:
+        np.testing.assert_array_equal(np.signbit(a.real), np.signbit(b.real))
+        np.testing.assert_array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+@pytest.mark.parametrize("depth, width", SHAPES)
+def test_collapse_output_bytes(tmp_path, depth, width):
+    # Collapse multiplies entries together, so 1e308 stays out of it.
+    rng = np.random.default_rng(200 * depth + width)
+    dense = d.collapse(special_model(rng, depth, width, values=SPECIAL[:3] + SPECIAL[4:]))
+    path = tmp_path / "dense.json"
+    d.save_dense(dense, path)
+    assert path.read_text() == entrywise_dense_json(dense)
+    again = d.load_dense(path)
+    np.testing.assert_array_equal(bits(again.state_matrix), bits(dense.state_matrix))
+    np.testing.assert_array_equal(bits(again.read_in), bits(dense.read_in))
+
+
+def special_table(rng, count):
+    values = planted(rng, rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2)))
+    entries = tuple(
+        d.ExpansionEntry(k % 4 + 1, k + 1, complex(lam), complex(xi))
+        for k, (lam, xi) in enumerate(values)
+    )
+    return d.ExpansionTable(entries)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 40])
+def test_expansion_csv_and_json_bytes(count):
+    table = special_table(np.random.default_rng(count), count)
+    assert table.csv_text() == fstring_expansion_csv(table)
+    assert json.dumps(table.to_json_dict(), indent=2) + "\n" == entrywise_expansion_json(table)
+
+
+def test_expand_command_bytes(tmp_path):
+    model = random_model(d.seeded_rng(60), 3, 4)
+    d.save_model(model, tmp_path / "model.json")
+    table = d.expand_coefficients(model)
+    for name, oracle in [("t.csv", fstring_expansion_csv), ("t.json", entrywise_expansion_json)]:
+        out = tmp_path / name
+        argv = ["expand", "--input", str(tmp_path / "model.json"), "--output", str(out)]
+        assert cli.run(argv) == 0
+        assert out.read_text() == oracle(table)
+
+
+@pytest.mark.parametrize("depth, width", SHAPES)
+def test_kernel_csv_bytes(depth, width):
+    rng = np.random.default_rng(300 * depth + width)
+    model = random_model(rng, depth, width)
+    for kernel in [
+        d.kernel_by_simulation(model, 40),
+        d.kernel_closed_form(model, 40),
+        d.ConvolutionKernel(planted(rng, rng.standard_normal(30) + 1j * rng.standard_normal(30))),
+    ]:
+        assert d.kernel_csv_text(kernel) == csv_writer_kernel_csv(kernel)
+
+
+def test_records_csv_bytes_with_a_nan_column():
+    rng = np.random.default_rng(5)
+    records = [
+        d.ExperimentRecord(
+            depth=depth,
+            width=3,
+            seed=7,
+            final_loss=float(rng.standard_normal()) ** 2,
+            max_param_norm=[5e-324, 1e308, 2.0, -0.0][depth - 1],
+            equiv_shallow_max_norm=float("nan"),
+            wall_time=float(rng.uniform(0.1, 2.0)),
+        )
+        for depth in range(1, 5)
+    ]
+    for subset in [records, records[1:], []]:
+        assert d.records_csv_text(subset) == fstring_records_csv(subset)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_certificate_json_bytes(tmp_path, depth):
+    teacher = d.sample_teacher(3 * depth + 1, 2.0, d.seeded_rng(depth))
+    d.save_model(teacher.as_model(), tmp_path / "teacher.json")
+    argv = ["factorize", "--input", str(tmp_path / "teacher.json"),
+            "--output", str(tmp_path / "student.json"), "--depth", str(depth)]
+    assert cli.run(argv) == 0
+    student, cert = d.factorize(teacher, depth)
+    assert (tmp_path / "student.cert.json").read_text() == certificate_json(cert)
+    assert (tmp_path / "student.json").read_text() == entrywise_model_json(student)
+
+
+@pytest.mark.parametrize("c1, c2, modes", [(100, 4, 12), (4, 10, 5), (1.5, 2.5, 1), (1e6, 3.0, 40)])
+def test_plan_json_bytes(tmp_path, capsys, c1, c2, modes):
+    plan = d.minimal_depth(c1, c2, modes)
+    argv = ["plan-depth", "--c1", str(c1), "--c2", str(c2), "--modes", str(modes)]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == plan_json(plan)
+    assert cli.run(argv + ["--output", str(tmp_path / "plan.json")]) == 0
+    assert (tmp_path / "plan.json").read_text() == plan_json(plan)
+
+
+def model_with(**arrays):
+    """One-layer model JSON whose arrays, unless given, are valid ones."""
+    arrays = {
+        "state_diag": [[0.5, 0.0]],
+        "input_matrix": [[[1.0, 0.0]]],
+        "read_out": [[1.0, 0.0]],
+        **arrays,
+    }
+    read_out = arrays.pop("read_out")
+    return {"layers": [arrays], "read_out": read_out}
+
+
+HUGE = int("1" * 310)
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (model_with(state_diag=[[True, 0.0]]), d.ShapeMismatch),
+        (model_with(read_out=[[1.0, False]]), d.ShapeMismatch),
+        (model_with(state_diag=[[0.5]]), d.ShapeMismatch),
+        (model_with(read_out=[[1.0, 0.0, 0.0]]), d.ShapeMismatch),
+        (model_with(input_matrix=[[[1.0, 0.0, 2.0]]]), d.ShapeMismatch),
+        (model_with(state_diag=[["0.5", 0.0]]), d.ShapeMismatch),
+        (model_with(input_matrix=[[[1.0, "0"]]]), d.ShapeMismatch),
+        (model_with(state_diag=[[0.5, 0.0], [0.4, 0.0]],
+                    input_matrix=[[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],
+                    read_out=[[1.0, 0.0], [1.0, 0.0]]), d.ShapeMismatch),
+        (model_with(input_matrix=[]), d.ShapeMismatch),
+        (model_with(state_diag=[[[0.5, 0.0], [0.0, 0.0]]]), d.ShapeMismatch),
+        (model_with(input_matrix=[[[[1.0, 0.0]]]]), d.ShapeMismatch),
+        (model_with(read_out=[[HUGE, 0]]), d.DomainError),
+        (model_with(input_matrix=[[[1, -HUGE]]]), d.DomainError),
+        (model_with(read_out=[[HUGE, 0], [True, 0]]), d.DomainError),
+        (model_with(read_out=[[True, 0], [HUGE, 0]]), d.ShapeMismatch),
+    ],
+    ids=[
+        "bool-entry", "bool-imaginary-part", "one-entry-pair", "three-entry-pair",
+        "three-entry-pair-in-matrix", "string-entry", "string-in-matrix", "ragged-rows",
+        "empty-matrix", "too-deep-vector", "too-deep-matrix", "310-digit-integer",
+        "310-digit-integer-in-matrix", "310-digit-integer-then-bool", "bool-then-310-digit-integer",
+    ],
+)
+def test_malformed_arrays_are_refused(data, error):
+    with pytest.raises(error):
+        d.model_from_json_dict(json.loads(json.dumps(data)))
+
+
+def test_integer_pairs_read_as_floats():
+    model = d.model_from_json_dict(model_with(state_diag=[[1, -0]], read_out=[[2, 3]]))
+    assert model.layers[0].state_diag.tolist() == [1.0 + 0.0j]
+    assert model.read_out.tolist() == [2.0 + 3.0j]

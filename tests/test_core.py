@@ -7,7 +7,9 @@ import pytest
 
 import deepssm as d
 from conftest import (
+    convolve,
     distinct_model,
+    parse_kernel_csv,
     path_sum_kernel,
     random_model,
     random_normal_dense,
@@ -130,7 +132,7 @@ class TestSimulate:
         model = random_model(rng, 3, 3)
         x = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         kernel = d.kernel_by_simulation(model, 40)
-        assert rel_err(d.simulate(model, x), d.convolve(kernel, x)) < 1e-12
+        assert rel_err(d.simulate(model, x), convolve(kernel, x)) < 1e-12
 
     def test_causality(self):
         rng = d.seeded_rng(5)
@@ -264,12 +266,12 @@ class TestConvolve:
         for t in range(10):
             for s in range(min(t, 5) + 1):
                 want[t] += taps[s] * x[t - s]
-        assert rel_err(d.convolve(kernel, x), want) < 1e-12
+        assert rel_err(convolve(kernel, x), want) < 1e-12
 
     def test_identity_kernel_passes_input_through(self):
         kernel = d.ConvolutionKernel([1.0])
         x = np.arange(5.0)
-        np.testing.assert_array_equal(d.convolve(kernel, x), x.astype(complex))
+        np.testing.assert_array_equal(convolve(kernel, x), x.astype(complex))
 
 
 class TestMembership:
@@ -357,7 +359,7 @@ class TestSerialization:
     def test_kernel_csv_round_trip_is_exact(self):
         rng = d.seeded_rng(16)
         kernel = d.ConvolutionKernel(rng.standard_normal(12) + 1j * rng.standard_normal(12))
-        again = d.parse_kernel_csv(d.kernel_csv_text(kernel))
+        again = parse_kernel_csv(d.kernel_csv_text(kernel))
         np.testing.assert_array_equal(again.taps, kernel.taps)
 
     def test_kernel_csv_header_and_layout(self):
@@ -382,9 +384,9 @@ class TestSerialization:
 
     def test_malformed_kernel_csv_rejected(self):
         with pytest.raises(d.ShapeMismatch):
-            d.parse_kernel_csv("a,b\n1,2\n")
+            parse_kernel_csv("a,b\n1,2\n")
         with pytest.raises(d.ShapeMismatch):
-            d.parse_kernel_csv("t,re,im\n1,0.0,0.0\n")
+            parse_kernel_csv("t,re,im\n1,0.0,0.0\n")
 
 
 class TestDenseDeep:
@@ -491,3 +493,13 @@ class TestEngineAgainstOracle:
             with pytest.warns(d.StabilityWarning):
                 got = d.simulate(model, x)
         assert_matches_oracle(got, want)
+
+
+def test_package_names_are_the_modules_names():
+    # A tracer that rebinds a function by identity must find it under both names.
+    modules = [d.errors, d.symfun, d.core, d.convert, d.fit]
+    assert d.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(d.__all__)) == len(d.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(d, name) is getattr(module, name)

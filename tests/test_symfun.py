@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deepssm as d
-from conftest import rel_err, separated_complex
+from conftest import homogeneous_sequence, rel_err, separated_complex
 
 
 def hom_oracle(values, k):
@@ -66,7 +66,7 @@ class TestHomogeneousSequence:
     def test_agrees_with_scalar_per_degree(self):
         rng = np.random.default_rng(3)
         vals = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        seq = d.homogeneous_sequence(vals, 9)
+        seq = homogeneous_sequence(vals, 9)
         for k in range(9):
             assert rel_err(seq[k], d.homogeneous_sum(vals, k)) < 1e-12
 
@@ -74,9 +74,9 @@ class TestHomogeneousSequence:
         rng = np.random.default_rng(4)
         vals = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         extra = 0.4 - 0.2j
-        base = d.homogeneous_sequence(vals, 12)
+        base = homogeneous_sequence(vals, 12)
         grown = d.extend_homogeneous(base, extra)
-        want = d.homogeneous_sequence(np.append(vals, extra), 12)
+        want = homogeneous_sequence(np.append(vals, extra), 12)
         np.testing.assert_allclose(grown, want, rtol=1e-12, atol=1e-14)
 
 
