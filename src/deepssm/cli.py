@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import os
 import sys
@@ -19,6 +18,7 @@ from .convert import expand_coefficients, factorize, minimal_depth, collapse
 from .core import (
     DEFAULT_HORIZON,
     ShallowRealization,
+    _read_json,
     _write_json,
     atomic_write_text,
     check_membership,
@@ -112,8 +112,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path) -> dict:
-    with open(path, "r") as handle:
-        config = json.load(handle)
+    config = _read_json(path)
     if not isinstance(config, dict):
         raise ShapeMismatch("config must be a JSON object")
     return config

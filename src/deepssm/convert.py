@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     ConvolutionKernel,
@@ -35,6 +34,7 @@ from .core import (
     LayerParams,
     ShallowRealization,
     _csv_text,
+    _finite,
     _mix,
     _pairs,
     _stack,
@@ -160,30 +160,36 @@ def collapse(model: DeepLinearSSM) -> DenseSSM:
     triangular state matrix whose (i, j) block, i > j, is
     ``B_i B_{i-1} ... B_{j+1} A_j`` with the original ``A_i`` on the block
     diagonal, read-in blocks ``B_i ... B_1``, and a read-out supported on
-    the last block.  A depth-1 model passes through unchanged.
+    the last block.  A depth-1 model passes through unchanged.  Products
+    of finite entries that overflow raise :class:`NumericalError`.
     """
     m, depth = model.width, model.depth
     diags, mats = _stack(model)
     n = depth * m
     state = np.zeros((n, n), dtype=complex)
-    for i in range(depth):
-        state[i * m : (i + 1) * m, i * m : (i + 1) * m] = np.diag(diags[i])
-    for j in range(depth):
-        chain = None
-        for i in range(j + 1, depth):
-            chain = mats[i] if chain is None else mats[i] @ chain
-            # chain is B_i ... B_{j+1}; A_j is diagonal so the block is a
-            # column scaling of chain.
-            state[i * m : (i + 1) * m, j * m : (j + 1) * m] = chain * diags[j][None, :]
     read_in = np.zeros(n, dtype=complex)
-    acc = mats[0][:, 0]
-    read_in[:m] = acc
-    for i in range(1, depth):
-        acc = mats[i] @ acc
-        read_in[i * m : (i + 1) * m] = acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(depth):
+            state[i * m : (i + 1) * m, i * m : (i + 1) * m] = np.diag(diags[i])
+        for j in range(depth):
+            chain = None
+            for i in range(j + 1, depth):
+                chain = mats[i] if chain is None else mats[i] @ chain
+                # chain is B_i ... B_{j+1}; A_j is diagonal so the block is a
+                # column scaling of chain.
+                state[i * m : (i + 1) * m, j * m : (j + 1) * m] = chain * diags[j][None, :]
+        acc = mats[0][:, 0]
+        read_in[:m] = acc
+        for i in range(1, depth):
+            acc = mats[i] @ acc
+            read_in[i * m : (i + 1) * m] = acc
     read_out = np.zeros(n, dtype=complex)
     read_out[-m:] = model.read_out
-    return DenseSSM(state, read_in, read_out)
+    return DenseSSM(
+        _finite(state, "collapsed state matrix entry"),
+        _finite(read_in, "collapsed read-in entry"),
+        read_out,
+    )
 
 
 def _principal_argument(values: np.ndarray) -> np.ndarray:
@@ -263,9 +269,21 @@ def factorize(
     deterministic relative jitter of 1e-8 to offending modes, changing
     the kernel by the same order.  ``depth == 1`` is a balanced
     re-encoding ``b = c = sqrt(b_i c_i)`` and needs no distinctness.
+
+    The student's mixing entries are scaled by ``z0**depth``; a depth at
+    which that overflows a float (about 1000 once ``z0`` nears 2) raises
+    :class:`DomainError` before any work is done.
     """
     if depth < 1:
         raise DomainError(f"depth must be at least 1, got {depth}")
+    z0 = 2.0 * float(np.max(np.abs(teacher.weights()))) ** (1.0 / (depth + 1))
+    try:
+        scale = z0**depth
+    except OverflowError:
+        raise DomainError(
+            f"depth {depth} is too large: the student's scale z0**depth = "
+            f"{z0:.6g}**{depth} overflows a float"
+        ) from None
     m = _student_shape(teacher.mode_count, depth, width, pad)
     pad_count = depth * (m - 1) + 1 - teacher.mode_count
 
@@ -281,7 +299,6 @@ def factorize(
         sigma = np.concatenate([sigma, pad_modes])
         z = np.concatenate([z, np.zeros(pad_count)])
 
-    z0 = 2.0 * float(np.max(np.abs(z))) ** (1.0 / (depth + 1))
     if np.all(z == 0):
         return _zero_student(depth, m), NormCertificate.evaluate(0.0, 0.0)
 
@@ -327,7 +344,6 @@ def factorize(
         table[:, j] = telescope_coefficients(alpha[:, j], weight[:, j])
     table[0, m - 1] = weight[0, m - 1]
 
-    scale = z0 ** depth
     mix = [np.zeros((m, m), dtype=complex) for _ in range(depth - 1)]
     for layer in range(2, depth):
         mix[layer - 2][np.arange(m - 1), np.arange(m - 1)] = z0
@@ -453,6 +469,8 @@ def reduce_normal(dense: DenseSSM, *, rtol: float = 1e-10) -> ShallowRealization
             "state matrix fails the commutator normality test at "
             f"relative tolerance {rtol:g}"
         )
+    import scipy.linalg  # here, not at the top: it would be most of the package's import time
+
     upper, basis = scipy.linalg.schur(a, output="complex")
     return ShallowRealization(
         np.diag(upper).copy(),

@@ -15,8 +15,10 @@ the response to the unit impulse at t = 0.  Two kernel paths are provided:
 while :func:`kernel_closed_form` sums, over all index paths through the
 layers, the path weight times a complete homogeneous sum of the visited
 eigenvalues.  It never enumerates the m^l paths: it groups them by their
-last index and builds the sums one layer at a time with a recursive filter,
-in O(l * m^2 * T).  The two must agree to rounding; tests lean on that.
+last index and builds the sums one layer at a time with the blocked
+Toeplitz filter :func:`~deepssm.symfun.extend_homogeneous`, in
+O(l * m^2 * T + l * m * T * min(sqrt(T), 32)).  The two share no time
+stepping and must agree to rounding; tests lean on that.
 
 One engine, :func:`_layer_blocks`, runs every recurrence in the package.
 Layers couple only within a time step, so each layer is a first-order scan
@@ -48,12 +50,13 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    NumericalError,
     ShapeMismatch,
     StabilityWarning,
     UnstableModel,
     WidthMismatch,
 )
-from .symfun import extend_homogeneous
+from .symfun import _mix, extend_homogeneous
 
 __all__ = [
     "DEFAULT_HORIZON",
@@ -83,6 +86,16 @@ __all__ = [
 #: Default truncation horizon for kernels; long enough that stable spectra
 #: have decayed well below working precision at typical moduli.
 DEFAULT_HORIZON = 64
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr``, unless an entry overflowed: then :class:`NumericalError` names the first."""
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        index = tuple(int(i) for i in bad[0])
+        label = index[0] if len(index) == 1 else index
+        raise NumericalError(f"{what} {label} overflowed to {arr[index]}")
+    return arr
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -219,8 +232,9 @@ class ShallowRealization:
 
     def kernel(self, horizon: int = DEFAULT_HORIZON) -> "ConvolutionKernel":
         ts = np.arange(_checked_horizon(horizon))
-        taps = (self.eigenvalues[:, None] ** ts[None, :] * self.weights()[:, None]).sum(axis=0)
-        return ConvolutionKernel(taps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            taps = (self.eigenvalues[:, None] ** ts[None, :] * self.weights()[:, None]).sum(axis=0)
+        return _kernel(taps)
 
     def as_model(self) -> DeepLinearSSM:
         """Equivalent one-layer :class:`DeepLinearSSM`."""
@@ -342,8 +356,7 @@ class DenseDeepSSM:
 
     def kernel(self, horizon: int = DEFAULT_HORIZON) -> ConvolutionKernel:
         impulse = np.eye(_checked_horizon(horizon), 1)
-        taps = _response(self.state_matrices, self.input_matrices, self.read_out, impulse)
-        return ConvolutionKernel(taps)
+        return _kernel(_response(self.state_matrices, self.input_matrices, self.read_out, impulse))
 
 
 @dataclass(frozen=True)
@@ -366,6 +379,11 @@ class MembershipReport:
                 {"constraint": name, "value": value} for name, value in self.violations
             ],
         }
+
+
+def _kernel(taps: np.ndarray) -> ConvolutionKernel:
+    """The kernel with these taps; taps that overflowed raise :class:`NumericalError`."""
+    return ConvolutionKernel(_finite(taps, "kernel tap"))
 
 
 def _checked_horizon(horizon: int) -> int:
@@ -402,23 +420,6 @@ def _times(a, rows: np.ndarray) -> np.ndarray:
     return np.where((rows != 0) & (a != 0), rows * a, 0).sum(axis=-1)
 
 
-def _mix(mat: np.ndarray, seqs: np.ndarray) -> np.ndarray:
-    """``mat @ seqs``, where an exact zero of ``mat`` adds exactly zero.
-
-    That holds even against an inf in ``seqs`` (an overflowed unstable
-    channel), where a plain product gives 0 * inf = nan.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = mat @ seqs
-        if np.isfinite(out).all():
-            return out
-        out = np.zeros_like(out)
-        for k, column in enumerate(mat.T):
-            live = column != 0
-            out[live] += column[live, None] * seqs[k]
-    return out
-
-
 def _layer_blocks(states, mixes, drive: np.ndarray):
     """Run ``h_i(t) = A_i h_i(t-1) + B_i h_{i-1}(t)`` with h_0 = ``drive``.
 
@@ -430,9 +431,9 @@ def _layer_blocks(states, mixes, drive: np.ndarray):
         rows = slice(start, start + _BLOCK)
         h = drive[rows]
         for i, (a, mix) in enumerate(zip(states, mixes)):
-            h = h @ mix.T
             # Powers of an unstable a may overflow; _times masks them.
             with np.errstate(over="ignore", invalid="ignore"):
+                h = h @ mix.T
                 h[0] += _times(a, carries[i])
                 # After offset k, h[t] sums a^j (B_i h_{i-1})[t - j], j < 2k.
                 power, k = a, 1
@@ -453,7 +454,8 @@ def _response(states, mixes, read_out: np.ndarray, drive: np.ndarray) -> np.ndar
     out = np.empty(len(drive), dtype=complex)
     for i, rows, h in _layer_blocks(states, mixes, drive):
         if i == len(states) - 1:
-            out[rows] = h @ read_out
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[rows] = h @ read_out
     return out
 
 
@@ -479,9 +481,12 @@ def kernel_by_simulation(
     *,
     strict_stability: bool = False,
 ) -> ConvolutionKernel:
-    """Kernel taps as the simulated response to the unit impulse."""
+    """Kernel taps as the simulated response to the unit impulse.
+
+    Taps that overflow raise :class:`NumericalError`.
+    """
     impulse = np.eye(_checked_horizon(horizon), 1)[:, 0]
-    return ConvolutionKernel(simulate(model, impulse, strict_stability=strict_stability))
+    return _kernel(simulate(model, impulse, strict_stability=strict_stability))
 
 
 def kernel_closed_form(
@@ -498,19 +503,18 @@ def kernel_closed_form(
     the paths group by their last index: the sequences
     ``s_i[j] = extend(sum_k B_i[j, k] s_{i-1}[k], A_i[j])`` with s_0 the unit
     impulse hold every path prefix ending at (i, j), and the taps are
-    ``sum_j C[j] s_l[j]``.  Cost is O(l * m^2 * horizon); the sums stay exact
-    for repeated and zero eigenvalues.  An exact-zero B or C entry adds
-    exactly zero, even against a sequence that overflowed.
+    ``sum_j C[j] s_l[j]``; ``extend`` runs on all m channels of a layer in
+    one call.  Cost is O(l * m^2 * T + l * m * T * min(sqrt(T), 32)) for
+    horizon T; the sums stay exact for repeated and zero eigenvalues.  An
+    exact-zero B or C entry adds exactly zero, even against a sequence that
+    overflowed.  Taps that overflow raise :class:`NumericalError`.
     """
     horizon = _checked_horizon(horizon)
     _stability_gate(model.spectral_radius(), strict_stability)
     seqs = np.eye(1, horizon, dtype=complex)
     for layer in model.layers:
-        mixed = _mix(layer.input_matrix, seqs)
-        seqs = np.stack(
-            [extend_homogeneous(row, alpha) for row, alpha in zip(mixed, layer.state_diag)]
-        )
-    return ConvolutionKernel(_mix(model.read_out[None, :], seqs)[0])
+        seqs = extend_homogeneous(_mix(layer.input_matrix, seqs), layer.state_diag)
+    return _kernel(_mix(model.read_out[None, :], seqs)[0])
 
 
 def parameter_norm(model: DeepLinearSSM) -> float:
@@ -525,8 +529,8 @@ def check_membership(model: DeepLinearSSM, bound: float) -> MembershipReport:
     of B_1, B_2..B_l and C at modulus <= ``bound``.  Each violated matrix
     is reported through its worst entry.
     """
-    if bound <= 0:
-        raise DomainError(f"bound must be positive, got {bound}")
+    if not (np.isfinite(bound) and bound > 0):
+        raise DomainError(f"bound must be positive and finite, got {bound}")
     violations: list[tuple[str, float]] = []
     radius = model.spectral_radius()
     if not radius < 1.0:
@@ -672,13 +676,25 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _read_json(path):
+    """The JSON value in the file at ``path``.
+
+    Nesting deeper than the parser's recursion limit raises
+    :class:`ShapeMismatch`, like any other malformed input.
+    """
+    with open(path, "r") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError as exc:
+            raise ShapeMismatch(f"{path}: JSON nested too deeply to parse") from exc
+
+
 def save_model(model: DeepLinearSSM, path) -> None:
     _write_json(model_to_json_dict(model), path)
 
 
 def load_model(path) -> DeepLinearSSM:
-    with open(path, "r") as handle:
-        return model_from_json_dict(json.load(handle))
+    return model_from_json_dict(_read_json(path))
 
 
 def save_dense(dense: DenseSSM, path) -> None:
@@ -693,8 +709,7 @@ def save_dense(dense: DenseSSM, path) -> None:
 
 
 def load_dense(path) -> DenseSSM:
-    with open(path, "r") as handle:
-        data = json.load(handle)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ShapeMismatch("dense model JSON must be an object")
     try:

@@ -18,8 +18,9 @@ rewrites a prefix family of such polynomials as a plain exponential sum:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     DegenerateEigenvalues,
@@ -89,21 +90,115 @@ def homogeneous_sum(alphas, k: int) -> complex:
     return complex(table[k])
 
 
-def extend_homogeneous(seqs: np.ndarray, alpha: complex) -> np.ndarray:
+def _mix(mat: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+    """``mat @ seqs``, where an exact zero in either factor adds exactly zero.
+
+    That holds even against an inf (an overflowed unstable channel or
+    power), where a plain product gives 0 * inf = nan.  Both factors may
+    carry leading batch axes, as for :func:`numpy.matmul`.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = mat @ seqs
+        if np.isfinite(out).all():
+            return out
+        out = np.zeros_like(out)
+        for k in range(mat.shape[-1]):
+            left, right = mat[..., :, k, None], seqs[..., None, k, :]
+            out += np.where((left != 0) & (right != 0), left * right, 0)
+    return out
+
+
+#: Longest chunk of :func:`extend_homogeneous`.  Beyond ``_CHUNK**2`` steps
+#: the chunk ends are carried by the same filter, recursively, which keeps
+#: the cost O(_CHUNK * T) instead of O(T**1.5).
+_CHUNK = 32
+
+
+def _toeplitz(powers: np.ndarray) -> np.ndarray:
+    """Upper-triangular ``M[..., k, t] = powers[..., t - k]`` for t >= k, else 0.
+
+    ``rows @ M`` then filters each row: ``sum_{k <= t} powers[t - k] rows[k]``.
+    """
+    size = powers.shape[-1]
+    padded = np.zeros(powers.shape[:-1] + (2 * size - 1,), dtype=complex)
+    padded[..., size - 1 :] = powers
+    lag = np.arange(size - 1, 2 * size - 1) - np.arange(size)[:, None]
+    return np.take(padded, lag, axis=-1)
+
+
+def _chunked_filter(chunks: np.ndarray, powers: np.ndarray, exact: bool) -> np.ndarray:
+    """The filter of :func:`extend_homogeneous` on rows cut into chunks.
+
+    ``chunks`` is ``(..., n, c)`` and ``powers`` holds ``alpha**0 ..
+    alpha**c``.  The chunk ends are carried forward by an n x n Toeplitz
+    product in ``alpha**c``, whose powers run up to ``alpha**(c n)``, or for
+    n > :data:`_CHUNK` by :func:`extend_homogeneous` in ``alpha**c``.  With
+    ``exact`` every product masks exact zeros (:func:`_mix`) and the ends are
+    carried one chunk at a time instead, so that no power beyond
+    ``alpha**c`` is formed and nothing overflows before the step-by-step
+    recurrence does.
+    """
+    product = _mix if exact else np.matmul
+    # Row 0 of ``steps`` is alpha**(t+1), applied to the state carried into
+    # a chunk; rows 1..c are the c x c in-chunk Toeplitz matrix.
+    steps = _toeplitz(powers)[..., 1:]
+    ends = product(chunks, steps[..., 1:, -1:])[..., 0]
+    ratio = powers[..., -1]
+    if exact:
+        states, state = np.empty_like(ends), 0
+        for j in range(ends.shape[-1]):
+            state = np.where((state != 0) & (ratio != 0), state * ratio, 0) + ends[..., j]
+            states[..., j] = state
+    elif ends.shape[-1] > _CHUNK:
+        states = extend_homogeneous(ends, ratio)
+    else:
+        stride = ratio[..., None] ** np.arange(ends.shape[-1])
+        states = (ends[..., None, :] @ _toeplitz(stride))[..., 0, :]
+    carried = np.zeros(chunks.shape[:-1] + (chunks.shape[-1] + 1,), dtype=complex)
+    carried[..., 1:, 0] = states[..., :-1]
+    carried[..., 1:] = chunks
+    return product(carried, steps)
+
+
+def extend_homogeneous(seqs: np.ndarray, alpha) -> np.ndarray:
     """Absorb one more variable into homogeneous-sum sequences.
 
     ``seqs[..., t]`` holds the degree-``t`` sums over some variable set;
     the result holds the sums over that set plus ``alpha``.  This is the
     same recurrence as :func:`homogeneous_sum`, run along the last axis
-    as a first-order recursive filter.
+    as the first-order filter ``out[t] = sum_{k <= t} alpha**(t-k) seqs[k]``.
+    ``alpha`` is a scalar or an array that broadcasts against the leading
+    axes of ``seqs``, one variable per sequence.
+
+    The filter is a blocked Toeplitz product of geometric powers, with no
+    loop over time: the horizon is cut into n chunks of c = ceil(sqrt(T))
+    steps (at most :data:`_CHUNK`), each filtered by one batched product
+    with the c x c matrix of ``alpha**(t-k)``; the chunk ends are carried
+    forward by a second geometric Toeplitz product in ``alpha**c`` (for
+    longer horizons, by this filter again), and the carry into a chunk adds
+    ``alpha**(t+1)`` times it.  Where that result is not finite, it is
+    recomputed with exact-zero masking and a chunk-by-chunk carry: an exact
+    zero then adds exactly zero, even where a power of ``|alpha| > 1``
+    overflowed, so an undriven prefix stays zero, and the result overflows
+    where the step-by-step recurrence does (up to rounding, while
+    ``alpha**c`` itself is finite).
     """
     seqs = np.asarray(seqs, dtype=complex)
-    return lfilter(
-        np.ones(1, dtype=complex),
-        np.array([1.0, -alpha], dtype=complex),
-        seqs,
-        axis=-1,
-    )
+    alpha = np.asarray(alpha, dtype=complex)
+    horizon = seqs.shape[-1]
+    lead = np.broadcast_shapes(seqs.shape[:-1], alpha.shape)
+    size = min(math.isqrt(horizon - 1) + 1 if horizon else 1, _CHUNK)
+    count = max(-(-horizon // size), 1)
+    padded = np.zeros(lead + (count * size,), dtype=complex)
+    padded[..., :horizon] = seqs
+    chunks = padded.reshape(lead + (count, size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = alpha[..., None] ** np.arange(size + 1)
+        out = _chunked_filter(chunks, powers, exact=False)
+        # A finite result had no inf * 0 and no overflowed power to mask.
+        if not np.isfinite(out).all():
+            out = _chunked_filter(chunks, powers, exact=True)
+    return out.reshape(lead + (count * size,))[..., :horizon]
 
 
 def f_rational(alphas, k: int) -> complex:

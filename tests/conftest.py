@@ -78,6 +78,23 @@ def homogeneous_sequence(alphas, count):
     return seq
 
 
+def recurrence_filter(seqs, alpha):
+    """Step-by-step ``out[t] = alpha * out[t-1] + seqs[t]`` along the last axis.
+
+    The oracle for :func:`deepssm.extend_homogeneous`: one multiply-add per
+    time step, ``alpha`` broadcast over the leading axes as there.
+    """
+    seqs = np.asarray(seqs, dtype=complex)
+    alpha = np.asarray(alpha, dtype=complex)
+    out = np.empty(np.broadcast_shapes(seqs.shape[:-1], alpha.shape) + seqs.shape[-1:], complex)
+    state = np.zeros(out.shape[:-1], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(seqs.shape[-1]):
+            state = alpha * state + seqs[..., t]
+            out[..., t] = state
+    return out
+
+
 def convolve(kernel, inputs):
     """Causal convolution ``y(t) = sum_s taps[s] x(t-s)`` truncated to len(x)."""
     x = np.atleast_1d(np.asarray(inputs, dtype=complex))

@@ -6,6 +6,8 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -41,6 +43,14 @@ def declared_console_script(name):
     with open(pyproject, "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     return EntryPoint(name=name, value=scripts[name], group="console_scripts")
+
+
+def source_env():
+    """The environment with this checkout's package first on ``PYTHONPATH``."""
+    package_root = Path(d.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    return env
 
 
 def strip_wall_time(csv_text):
@@ -108,6 +118,20 @@ class TestKernelCommand:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("method", ["sim", "closed"])
+    def test_overflowed_taps_are_numerical_errors(self, tmp_path, capsys, method):
+        # The parameters are finite; 1.5**1751 is not.
+        unstable = d.DeepLinearSSM((d.LayerParams([1.5], [[1.0]]),), [1.0])
+        model_path = write_model(unstable, tmp_path / "unstable.json")
+        argv = ["kernel", "--input", model_path, "--output", str(tmp_path / "k.csv"),
+                "--horizon", "3000", "--method", method]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert cli.run(argv) == 3
+        assert [w.category for w in seen] == [d.StabilityWarning]
+        assert capsys.readouterr().err == "error: kernel tap 1751 overflowed to (inf+nanj)\n"
+        assert not (tmp_path / "k.csv").exists()
 
 
 class TestVerifyCommand:
@@ -365,6 +389,15 @@ class TestErrorPaths:
             ["kernel", "--input", str(path), "--output", str(tmp_path / "k.csv")]
         ) == 2
 
+    ONE_MODE_MODEL = (
+        '{"layers": [{"state_diag": [[0.5, 0]], "input_matrix": [[[1, 0]]]}], '
+        '"read_out": [[1, 0]]}'
+    )
+    KERNEL = ["kernel", "--input", "{file}", "--output", "{out}"]
+    VERIFY = ["verify", "--input", "{file}", "--bound"]
+    # More nesting than the JSON parser's recursion limit allows.
+    TOO_DEEP = "[" * 100_000
+
     HUGE_INTEGER_MODEL = (
         '{"layers": [{"state_diag": [[1%s, 0]], "input_matrix": [[[1, 0]]]}], '
         '"read_out": [[1, 0]]}' % ("0" * 310)
@@ -394,12 +427,21 @@ class TestErrorPaths:
             (config_text(IMPULSE_CONFIG, shift=5.5, horizon=64), IMPULSE),
             (config_text(IMPULSE_CONFIG, horizon="16"), IMPULSE),
             (config_text(SWEEP_CONFIG, seed=1.5), SWEEP),
+            (ONE_MODE_MODEL, VERIFY + ["nan"]),
+            (ONE_MODE_MODEL, VERIFY + ["inf"]),
+            (TOO_DEEP, KERNEL),
+            (TOO_DEEP, IMPULSE),
+            (TOO_DEEP, SWEEP),
+            (ONE_MODE_MODEL, ["factorize", "--input", "{file}", "--output", "{out}",
+                              "--depth", "10000000"]),
         ],
         ids=[
             "config-list", "integer-beyond-float", "infinite-c1", "string-steps",
             "string-real-params", "bool-depth", "zero-depth", "string-depths",
             "float-effective-width", "fractional-width", "float-depth", "string-norm-scale",
-            "fractional-shift", "string-horizon", "fractional-seed",
+            "fractional-shift", "string-horizon", "fractional-seed", "nan-bound",
+            "infinite-bound", "too-deep-model", "too-deep-impulse-config",
+            "too-deep-sweep-config", "overflowing-depth",
         ],
     )
     def test_refused_input_exits_2_with_one_line(self, tmp_path, capsys, text, argv):
@@ -475,12 +517,70 @@ class TestInstalledEntryPoint:
 
         entry = declared_console_script("deepssm")
         assert callable(entry.load())
-        package_root = Path(d.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(package_root), env.get("PYTHONPATH")])
-        )
         wrapper = CONSOLE_SCRIPT_WRAPPER.format(
             module=entry.module, import_name=entry.attr.split(".")[0], func=entry.attr
         )
-        self.check_command([sys.executable, "-c", wrapper], tmp_path, env)
+        self.check_command([sys.executable, "-c", wrapper], tmp_path, source_env())
+
+
+class TestImportPath:
+    """The package imports numpy alone; scipy is loaded only by ``reduce_normal``."""
+
+    @staticmethod
+    def run_python(code, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)],
+            capture_output=True, text=True, cwd=tmp_path, env=source_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        out = self.run_python(
+            """
+            import sys
+            import deepssm.cli
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """,
+            tmp_path,
+        )
+        assert out == "[]\n"
+
+    def test_verbs_run_with_scipy_blocked(self, tmp_path):
+        write_model(random_model(d.seeded_rng(60), 3, 2), tmp_path / "model.json")
+        write_model(d.sample_teacher(7, 2.0, d.seeded_rng(61)).as_model(), tmp_path / "teacher.json")
+        (tmp_path / "impulse.json").write_text(json.dumps(TestErrorPaths.IMPULSE_CONFIG))
+        (tmp_path / "sweep.json").write_text(json.dumps(TestErrorPaths.SWEEP_CONFIG))
+        out = self.run_python(
+            """
+            import sys
+
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"{name} is blocked")
+
+            sys.meta_path.insert(0, NoScipy())
+            from deepssm import cli
+
+            verbs = [
+                ["kernel", "--input", "model.json", "--output", "sim.csv"],
+                ["kernel", "--input", "model.json", "--output", "closed.csv",
+                 "--method", "closed"],
+                ["expand", "--input", "model.json", "--output", "table.csv"],
+                ["factorize", "--input", "teacher.json", "--output", "student.json",
+                 "--depth", "3"],
+                ["train-impulse", "--config", "impulse.json", "--output", "impulse.csv"],
+                ["teacher-student", "--config", "sweep.json", "--output", "sweep.csv"],
+            ]
+            print([cli.run(argv) for argv in verbs])
+            try:
+                import scipy.linalg
+            except ImportError:
+                pass
+            else:
+                raise SystemExit("scipy was not blocked")
+            """,
+            tmp_path,
+        )
+        assert out.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]"

@@ -43,6 +43,18 @@ class TestCollapse:
                 dense.kernel(48).taps, d.kernel_by_simulation(model, 48).taps
             ) < 1e-10
 
+    def test_overflowing_products_are_numerical_errors(self):
+        # Every entry is finite, but B_2 B_1 = 4e308 is not.
+        model = d.DeepLinearSSM(
+            (
+                d.LayerParams([0.5, 0.25], [[1e308], [1.0]]),
+                d.LayerParams([0.5, 0.5], [[4.0, 0.0], [0.0, 1.0]]),
+            ),
+            [1.0, 1.0],
+        )
+        with pytest.raises(d.NumericalError, match="collapsed read-in entry 2 overflowed"):
+            d.collapse(model)
+
     def test_block_structure_by_hand(self):
         # Depth 2, width 2: state stack (h1; h2) evolves with A1 and A2 on
         # the block diagonal and B2 A1 below, read-in (B1; B2 B1), read-out
@@ -215,6 +227,13 @@ class TestFactorize:
         teacher = d.sample_teacher(3, 1.0, d.seeded_rng(28))
         with pytest.raises(d.DomainError):
             d.factorize(teacher, 0)
+
+    def test_depth_whose_scale_overflows_is_refused(self):
+        teacher = d.ShallowRealization([0.5], [1.0], [1.0])
+        student, _ = d.factorize(teacher, 1000)
+        assert student.depth == 1000
+        with pytest.raises(d.DomainError, match="overflows a float"):
+            d.factorize(teacher, 10_000_000)
 
 
 class TestMinimalDepth:

@@ -231,6 +231,16 @@ class TestKernels:
         assert np.all(np.isfinite(taps))
         assert rel_err(taps, path_sum_kernel(model, 2000)) < 1e-12
 
+    @pytest.mark.parametrize("method", [d.kernel_by_simulation, d.kernel_closed_form])
+    def test_overflowed_taps_are_numerical_errors(self, method):
+        model = d.DeepLinearSSM((d.LayerParams([1.5], [[1.0]]),), [1.0])
+        with pytest.warns(d.StabilityWarning):
+            assert np.all(np.isfinite(method(model, 1751).taps))
+        with pytest.warns(d.StabilityWarning), pytest.raises(
+            d.NumericalError, match="kernel tap 1751 overflowed"
+        ):
+            method(model, 1752)
+
     def test_default_horizon(self):
         model = random_model(d.seeded_rng(8), 1, 2)
         assert d.kernel_by_simulation(model).horizon == d.DEFAULT_HORIZON == 64
@@ -319,6 +329,12 @@ class TestMembership:
         with pytest.raises(d.DomainError):
             d.check_membership(model, 0.0)
 
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+    def test_bound_must_be_finite(self, bound):
+        model, _ = self._bounded_model()
+        with pytest.raises(d.DomainError):
+            d.check_membership(model, bound)
+
     def test_report_serializes(self):
         model, cap = self._bounded_model()
         data = d.check_membership(model, cap * 2).to_json_dict()
@@ -355,6 +371,13 @@ class TestSerialization:
         d.save_dense(dense, path)
         again = d.load_dense(path)
         np.testing.assert_array_equal(again.state_matrix, dense.state_matrix)
+
+    @pytest.mark.parametrize("load", [d.load_model, d.load_dense])
+    def test_json_nested_past_the_parser_limit_is_refused(self, tmp_path, load):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(d.ShapeMismatch, match="nested too deeply"):
+            load(path)
 
     def test_kernel_csv_round_trip_is_exact(self):
         rng = d.seeded_rng(16)

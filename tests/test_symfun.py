@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deepssm as d
-from conftest import homogeneous_sequence, rel_err, separated_complex
+from conftest import homogeneous_sequence, recurrence_filter, rel_err, separated_complex
 
 
 def hom_oracle(values, k):
@@ -78,6 +78,82 @@ class TestHomogeneousSequence:
         grown = d.extend_homogeneous(base, extra)
         want = homogeneous_sequence(np.append(vals, extra), 12)
         np.testing.assert_allclose(grown, want, rtol=1e-12, atol=1e-14)
+
+
+class TestExtendHomogeneous:
+    """The blocked Toeplitz filter against the step-by-step recurrence."""
+
+    # Chunks are ceil(sqrt(T)) steps long, at most 32: 16 and 17 sit either
+    # side of a square, where the chunk size steps; 257 leaves a chunk mostly
+    # padding; from 1025 on the chunk ends are carried by the filter itself.
+    HORIZONS = [1, 2, 15, 16, 17, 257, 1024, 1025, 2000]
+    ALPHAS = [0.0, 1e-200, 0.5, 1.5, 1e3]
+
+    @staticmethod
+    def rows(horizon):
+        rng = np.random.default_rng(horizon)
+        rows = rng.standard_normal((4, horizon)) + 1j * rng.standard_normal((4, horizon))
+        rows[1, : horizon // 2] = 0.0
+        rows[2, : horizon - 1] = 0.0
+        rows[3] = 0.0
+        return rows
+
+    @staticmethod
+    def assert_matches(got, rows, alpha):
+        want = recurrence_filter(rows, alpha)
+        # Within a few ulps of the float maximum a complex product may or
+        # may not overflow, by the order its parts are formed in; the finite
+        # patterns must agree everywhere else.
+        with np.errstate(over="ignore"):
+            edge = np.fmin(np.abs(got), np.abs(want)) > np.finfo(float).max / 4
+        assert not np.any((np.isfinite(got) != np.isfinite(want)) & ~edge)
+        np.testing.assert_array_equal(got == 0, want == 0)
+        # Rounding error is relative to the sum of the terms' moduli.
+        finite = np.isfinite(got) & np.isfinite(want)
+        scale = np.abs(recurrence_filter(np.abs(rows), np.abs(alpha)))
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * scale[finite])
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_scalar_alpha_matches_recurrence(self, horizon, alpha):
+        rows = self.rows(horizon)
+        self.assert_matches(d.extend_homogeneous(rows, alpha), rows, alpha)
+        for row in rows:
+            self.assert_matches(d.extend_homogeneous(row, alpha), row, alpha)
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_alpha_per_row_matches_recurrence(self, horizon):
+        rows = self.rows(horizon)
+        for alphas in itertools.permutations(self.ALPHAS, 4):
+            alphas = np.array(alphas) * np.exp(0.3j)
+            self.assert_matches(d.extend_homogeneous(rows, alphas), rows, alphas)
+
+    def test_alpha_broadcasts_over_leading_axes(self):
+        rows = self.rows(40).reshape(2, 2, 40)
+        alphas = np.array([0.5, -0.7j])
+        got = d.extend_homogeneous(rows, alphas)
+        assert got.shape == (2, 2, 40)
+        self.assert_matches(got, rows, alphas)
+        assert d.extend_homogeneous(rows[0, 0], alphas).shape == (2, 40)
+        assert d.extend_homogeneous(np.zeros((3, 0)), 0.5).shape == (3, 0)
+
+    def test_overflowed_power_leaves_undriven_prefix_zero(self):
+        # 1.5**1751 overflows; a row driven only from step 1900 stays
+        # exactly zero before it, and finite for the 100 steps after.
+        row = np.zeros(2000, dtype=complex)
+        row[1900:] = 1.0
+        got = d.extend_homogeneous(np.stack([row, np.eye(1, 2000)[0]]), 1.5)
+        assert np.all(got[0, :1900] == 0) and np.all(np.isfinite(got[0]))
+        assert np.isfinite(got[1]).sum() == 1751
+        self.assert_matches(got[0], row, 1.5)
+
+    def test_small_input_overflows_with_the_recurrence(self):
+        # 1.5**1800 overflows on its own, but 1e-10 * 1.5**t does not before
+        # t = 1808: no power beyond alpha**c may be formed first.
+        row = np.eye(1, 2000, dtype=complex)[0] * 1e-10
+        got = d.extend_homogeneous(row, 1.5)
+        assert np.isfinite(got).sum() == 1808
+        self.assert_matches(got, row, 1.5)
 
 
 @settings(max_examples=60, deadline=None)
