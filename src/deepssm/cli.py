@@ -12,6 +12,7 @@ import functools
 import logging
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 from .convert import expand_coefficients, factorize, minimal_depth, collapse
@@ -29,10 +30,9 @@ from .core import (
     save_kernel_csv,
     save_model,
 )
-from .errors import DeepSsmError, InputError, ShapeMismatch
+from .errors import DeepSsmError, InputError, ShapeMismatch, _checked
 from .fit import (
     TrainConfig,
-    _checked,
     depth_sweep_impulse,
     save_records_csv,
     teacher_student_experiment,
@@ -243,7 +243,11 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    with warnings.catch_warnings():
+        # One line per warning, like the error lines, without the source path.
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        code = run()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

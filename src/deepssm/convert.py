@@ -48,6 +48,7 @@ from .errors import (
     ResonantEigenvalues,
     ShapeMismatch,
     ZeroEigenvalue,
+    _checked,
 )
 from .symfun import DISTINCTNESS_RTOL, coincident_pairs, telescope_coefficients
 
@@ -226,9 +227,7 @@ def _perturbed_modes(sigma: np.ndarray) -> np.ndarray:
 def _student_shape(mode_count: int, depth: int, width, pad: bool) -> int:
     """Resolve the student width, validating the K = depth*(m-1)+1 ladder."""
     if width is not None:
-        width = int(width)
-        if width < 1:
-            raise DomainError(f"width must be positive, got {width}")
+        _checked("width", width, int, low=1)
         if depth * (width - 1) + 1 < mode_count:
             raise ShapeMismatch(
                 f"{mode_count} modes do not fit depth {depth} width {width}"
@@ -274,8 +273,7 @@ def factorize(
     which that overflows a float (about 1000 once ``z0`` nears 2) raises
     :class:`DomainError` before any work is done.
     """
-    if depth < 1:
-        raise DomainError(f"depth must be at least 1, got {depth}")
+    _checked("depth", depth, int, low=1)
     z0 = 2.0 * float(np.max(np.abs(teacher.weights()))) ** (1.0 / (depth + 1))
     try:
         scale = z0**depth
@@ -380,14 +378,11 @@ def minimal_depth(c1: float, c2: float, mode_count: int) -> DepthPlan:
     ``l`` yields student entries at most ``2 * c1 ** (2 / (l + 1))``.
     Solving that against ``c2`` gives ``ceil(2 ln c1 / ln(c2 / 2) - 1)``,
     clamped to at least one; the paired width is ``ceil(K / l) + 1``.
+    Both scales must be finite, ``c1 > 1`` and ``c2 > 2``.
     """
-    if not 1.0 < c1 < math.inf:
-        raise DomainError(f"c1 must be finite and exceed 1, got {c1}")
-    if not c2 > 2.0:
-        raise DomainError(f"c2 must exceed 2, got {c2}")
-    mode_count = int(mode_count)
-    if mode_count < 1:
-        raise DomainError(f"mode count must be positive, got {mode_count}")
+    _checked("c1", c1, float, above=1)
+    _checked("c2", c2, float, above=2)
+    _checked("mode_count", mode_count, int, low=1)
     raw = 2.0 * math.log(c1) / math.log(c2 / 2.0) - 1.0
     depth = max(1, math.ceil(raw))
     width = (mode_count + depth - 1) // depth + 1
@@ -461,6 +456,7 @@ def reduce_normal(dense: DenseSSM, *, rtol: float = 1e-10) -> ShallowRealization
     the kernel ``c^T A^t b`` becomes ``(U^T c)^T S^t (U* b)``; the new
     read vectors grow by at most sqrt(width) in the entrywise norm.
     """
+    _checked("rtol", rtol, float, low=0)
     a = dense.state_matrix
     fro = float(np.linalg.norm(a, "fro"))
     commutator = a @ a.conj().T - a.conj().T @ a
@@ -490,6 +486,7 @@ def diagonalize_general(
     any eigenvector basis has condition number above ``cond_ceiling``
     (defective state matrices land here).
     """
+    _checked("cond_ceiling", cond_ceiling, float, low=1)
     bases: list[np.ndarray] = []
     diags: list[np.ndarray] = []
     for i, a in enumerate(model.state_matrices, start=1):

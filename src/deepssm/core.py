@@ -24,6 +24,8 @@ One engine, :func:`_layer_blocks`, runs every recurrence in the package.
 Layers couple only within a time step, so each layer is a first-order scan
 over time: per block of ``_BLOCK`` steps, seeded with the last state of the
 block before, it doubles ``h[k:] += A^k h[:-k]`` for k = 1, 2, 4, ...
+Where a power up to half a block could overflow, the block is shorter, so
+no state overflows before it does step by step.
 Scratch memory is a few ``(_BLOCK, width)`` arrays, whatever the horizon.
 
 Every file format lives in one codec at the end of this module.
@@ -55,6 +57,7 @@ from .errors import (
     StabilityWarning,
     UnstableModel,
     WidthMismatch,
+    _checked,
 )
 from .symfun import _mix, extend_homogeneous
 
@@ -231,7 +234,7 @@ class ShallowRealization:
         return float(np.max(np.abs(self.eigenvalues)))
 
     def kernel(self, horizon: int = DEFAULT_HORIZON) -> "ConvolutionKernel":
-        ts = np.arange(_checked_horizon(horizon))
+        ts = np.arange(_checked("horizon", horizon, int, low=1))
         with np.errstate(over="ignore", invalid="ignore"):
             taps = (self.eigenvalues[:, None] ** ts[None, :] * self.weights()[:, None]).sum(axis=0)
         return _kernel(taps)
@@ -355,7 +358,7 @@ class DenseDeepSSM:
         return len(self.state_matrices)
 
     def kernel(self, horizon: int = DEFAULT_HORIZON) -> ConvolutionKernel:
-        impulse = np.eye(_checked_horizon(horizon), 1)
+        impulse = np.eye(_checked("horizon", horizon, int, low=1), 1)
         return _kernel(_response(self.state_matrices, self.input_matrices, self.read_out, impulse))
 
 
@@ -384,13 +387,6 @@ class MembershipReport:
 def _kernel(taps: np.ndarray) -> ConvolutionKernel:
     """The kernel with these taps; taps that overflowed raise :class:`NumericalError`."""
     return ConvolutionKernel(_finite(taps, "kernel tap"))
-
-
-def _checked_horizon(horizon: int) -> int:
-    horizon = int(horizon)
-    if horizon < 1:
-        raise DomainError(f"horizon must be positive, got {horizon}")
-    return horizon
 
 
 def _stability_gate(radius: float, strict: bool) -> None:
@@ -425,10 +421,17 @@ def _layer_blocks(states, mixes, drive: np.ndarray):
 
     ``states`` holds each A_i (diagonal or dense) and ``mixes`` each B_i.
     Yields ``(i, rows, h)`` block by block: layer i's states on steps ``rows``.
+    A block forms A_i's powers up to half its length, so it is halved until
+    they stay finite at the largest |A_i| (absolute row sum, if dense).
     """
+    mags = np.abs(states)  # (depth, m) diagonals or (depth, m, m) dense matrices
+    growth = (mags if mags.ndim == 2 else mags.sum(axis=-1)).max()
+    block = _BLOCK
+    while block > 2 and growth >= sys.float_info.max ** (2 / block):
+        block //= 2
     carries = [np.zeros(len(a), dtype=complex) for a in states]
-    for start in range(0, len(drive), _BLOCK):
-        rows = slice(start, start + _BLOCK)
+    for start in range(0, len(drive), block):
+        rows = slice(start, start + block)
         h = drive[rows]
         for i, (a, mix) in enumerate(zip(states, mixes)):
             # Powers of an unstable a may overflow; _times masks them.
@@ -485,7 +488,7 @@ def kernel_by_simulation(
 
     Taps that overflow raise :class:`NumericalError`.
     """
-    impulse = np.eye(_checked_horizon(horizon), 1)[:, 0]
+    impulse = np.eye(_checked("horizon", horizon, int, low=1), 1)[:, 0]
     return _kernel(simulate(model, impulse, strict_stability=strict_stability))
 
 
@@ -509,7 +512,7 @@ def kernel_closed_form(
     exact-zero B or C entry adds exactly zero, even against a sequence that
     overflowed.  Taps that overflow raise :class:`NumericalError`.
     """
-    horizon = _checked_horizon(horizon)
+    horizon = _checked("horizon", horizon, int, low=1)
     _stability_gate(model.spectral_radius(), strict_stability)
     seqs = np.eye(1, horizon, dtype=complex)
     for layer in model.layers:
@@ -529,8 +532,7 @@ def check_membership(model: DeepLinearSSM, bound: float) -> MembershipReport:
     of B_1, B_2..B_l and C at modulus <= ``bound``.  Each violated matrix
     is reported through its worst entry.
     """
-    if not (np.isfinite(bound) and bound > 0):
-        raise DomainError(f"bound must be positive and finite, got {bound}")
+    _checked("bound", bound, float, above=0)
     violations: list[tuple[str, float]] = []
     radius = model.spectral_radius()
     if not radius < 1.0:

@@ -5,7 +5,12 @@ malformed requests (shapes, horizons, domains), :class:`NumericalError`
 covers inputs that are well formed but numerically unusable (coincident
 eigenvalues, defective matrices, diverging optimization).  The command
 line maps the first family to exit code 2 and the second to exit code 3.
+Every scalar argument of a public entry point is checked by :func:`_checked`.
 """
+
+import math
+import numbers
+import sys
 
 __all__ = [
     "DeepSsmError",
@@ -94,3 +99,37 @@ class UnstableModel(NumericalError):
 
 class StabilityWarning(UserWarning):
     """Non-fatal notice that a model's spectral radius is >= 1."""
+
+
+#: How an error message names each kind that :func:`_checked` accepts.
+_KINDS = {
+    int: "an integer",
+    float: "a finite number",
+    bool: "true or false",
+    list: "a list of integers",
+}
+
+
+def _checked(name: str, value, kind: type, *, low=None, above=None):
+    """``value`` if it is of ``kind`` as :data:`_KINDS` names it, at least
+    ``low`` and greater than ``above`` where given, else :class:`DomainError`.
+
+    A bool is only ever true or false, never a number; numpy scalars are
+    accepted.
+    """
+    if isinstance(value, bool) or kind is bool:
+        ok = isinstance(value, bool) and kind is bool
+    elif kind is list:
+        ok = isinstance(value, list) and all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in value
+        )
+    elif kind is int:
+        ok = isinstance(value, numbers.Integral)
+    else:
+        # nan, the infinities and integers too large for a float are refused.
+        big = isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max
+        ok = isinstance(value, numbers.Real) and not big and math.isfinite(value)
+    if ok and (low is None or value >= low) and (above is None or value > above):
+        return value
+    bound = f" >= {low}" if low is not None else f" > {above}" if above is not None else ""
+    raise DomainError(f"{name} must be {_KINDS[kind]}{bound}, got {value!r}")

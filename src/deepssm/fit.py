@@ -18,10 +18,8 @@ fixed effective width ``depth * (width - 1) + 1``.
 from __future__ import annotations
 
 import logging
-import numbers
-import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -42,12 +40,12 @@ from .core import (
 from .errors import (
     DeepSsmError,
     DivergenceDetected,
-    DomainError,
     HorizonMismatch,
     ResonantEigenvalues,
     ShapeMismatch,
     ShiftOutOfHorizon,
     ZeroEigenvalue,
+    _checked,
 )
 
 __all__ = [
@@ -81,7 +79,8 @@ def seeded_rng(seed: int, *branch: int) -> np.random.Generator:
     is reproducible from its seed alone and cells draw independent streams.
     """
     seq = np.random.SeedSequence(
-        entropy=int(seed), spawn_key=tuple(int(b) for b in branch)
+        entropy=_checked("seed", seed, int, low=0),
+        spawn_key=tuple(_checked("branch", b, int, low=0) for b in branch),
     )
     return np.random.Generator(np.random.Philox(seq))
 
@@ -94,9 +93,8 @@ class ImpulseTarget:
     horizon: int = DEFAULT_HORIZON
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
-        if not 0 <= self.shift < self.horizon:
+        _checked("horizon", self.horizon, int, low=1)
+        if not 0 <= _checked("shift", self.shift, int) < self.horizon:
             raise ShiftOutOfHorizon(
                 f"shift {self.shift} falls outside horizon {self.horizon}"
             )
@@ -108,39 +106,7 @@ class ImpulseTarget:
 
 
 def impulse_target(shift: int, horizon: int = DEFAULT_HORIZON) -> ImpulseTarget:
-    return ImpulseTarget(shift=int(shift), horizon=int(horizon))
-
-
-#: How an error message names each kind that :func:`_checked` accepts.
-_KINDS = {
-    int: "an integer",
-    float: "a finite number",
-    bool: "true or false",
-    list: "a list of integers",
-}
-
-
-def _checked(name: str, value, kind: type):
-    """``value`` if it is of ``kind`` as :data:`_KINDS` names it, else
-    :class:`DomainError`.
-
-    A bool is only ever true or false, never a number; numpy scalars are
-    accepted.
-    """
-    if isinstance(value, bool) or kind is bool:
-        ok = isinstance(value, bool) and kind is bool
-    elif kind is list:
-        ok = isinstance(value, list) and all(
-            isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in value
-        )
-    elif kind is int:
-        ok = isinstance(value, numbers.Integral)
-    else:
-        # The bound also refuses nan and integers too large for a float.
-        ok = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-    if not ok:
-        raise DomainError(f"{name} must be {_KINDS[kind]}, got {value!r}")
-    return value
+    return ImpulseTarget(shift=shift, horizon=horizon)
 
 
 @dataclass(frozen=True)
@@ -154,20 +120,11 @@ class TrainConfig:
     stability_projection: bool = True
 
     def __post_init__(self):
-        for name, kind in (
-            ("learning_rate", float),
-            ("init_scale", float),
-            ("steps", int),
-            ("seed", int),
-            ("stability_projection", bool),
-        ):
-            _checked(name, getattr(self, name), kind)
-        if self.learning_rate < 0:
-            raise DomainError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.steps < 0:
-            raise DomainError(f"steps must be >= 0, got {self.steps}")
-        if self.init_scale <= 0:
-            raise DomainError(f"init_scale must be positive, got {self.init_scale}")
+        _checked("learning_rate", self.learning_rate, float, low=0)
+        _checked("init_scale", self.init_scale, float, above=0)
+        _checked("steps", self.steps, int, low=0)
+        _checked("seed", self.seed, int, low=0)
+        _checked("stability_projection", self.stability_projection, bool)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -176,14 +133,7 @@ class TrainConfig:
     def from_json_dict(cls, data) -> "TrainConfig":
         if not isinstance(data, dict):
             raise ShapeMismatch("train config must be a JSON object")
-        known = {
-            "learning_rate",
-            "steps",
-            "seed",
-            "init_scale",
-            "stability_projection",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ShapeMismatch(f"unknown train config keys: {sorted(unknown)}")
         return cls(**data)
@@ -328,8 +278,9 @@ def init_model(
     (uniform signs when ``real``); B and C entries are (complex) Gaussian
     scaled by ``init_scale / sqrt(width)``.
     """
-    if depth < 1 or width < 1:
-        raise DomainError(f"depth and width must be positive, got {depth}, {width}")
+    _checked("depth", depth, int, low=1)
+    _checked("width", width, int, low=1)
+    _checked("init_scale", init_scale, float, above=0)
 
     def block(shape) -> np.ndarray:
         scale = init_scale / np.sqrt(width)
@@ -364,10 +315,8 @@ def sample_teacher(
     random phases or signs; read vectors have entry moduli in
     [0.3, 1] * scale, so ``max |b_i c_i|`` sits near ``scale**2``.
     """
-    if mode_count < 1:
-        raise DomainError(f"mode count must be positive, got {mode_count}")
-    if scale <= 0:
-        raise DomainError(f"scale must be positive, got {scale}")
+    _checked("mode_count", mode_count, int, low=1)
+    _checked("scale", scale, float, above=0)
     moduli = np.linspace(0.3, 0.95, mode_count)
 
     def vector() -> np.ndarray:
@@ -428,8 +377,11 @@ def teacher_student_experiment(
     ``2 * norm_scale ** (2 / (l + 1))``; a violation raises, since the
     construction guarantees it.
     """
-    if width < 1:
-        raise DomainError(f"width must be positive, got {width}")
+    _checked("seed", seed, int, low=0)
+    _checked("width", width, int, low=1)
+    _checked("norm_scale", norm_scale, float, above=0)
+    _checked("horizon", horizon, int, low=1)
+    depths = [_checked("depth", depth, int, low=1) for depth in depths]
     records = []
     for cell, depth in enumerate(depths):
         rng = seeded_rng(seed, cell)
@@ -476,10 +428,10 @@ def depth_sweep_impulse(
     insensitive to which other depths are requested.
     """
     target = impulse_target(shift, horizon).kernel()
+    _checked("effective_width", effective_width, int, low=1)
+    depths = [_checked("depth", depth, int, low=1) for depth in depths]
     records = []
     for depth in depths:
-        if depth < 1:
-            raise DomainError(f"depth must be at least 1, got {depth}")
         if (effective_width - 1) % depth != 0:
             logger.warning(
                 "depth %d skipped: effective width %d is not depth * (width - 1) + 1",

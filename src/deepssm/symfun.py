@@ -28,6 +28,7 @@ from .errors import (
     ShapeMismatch,
     UnsortedInput,
     ZeroEigenvalue,
+    _checked,
 )
 
 __all__ = [
@@ -61,6 +62,7 @@ def coincident_pairs(values, rtol: float = DISTINCTNESS_RTOL) -> list[tuple[int,
     The separation test is ``|v[i] - v[j]| <= rtol * max(|v[i]|, |v[j]|, 1)``,
     so values near zero are compared on an absolute scale.
     """
+    _checked("rtol", rtol, float, low=0)
     arr = _as_complex_vector(values)
     diff = np.abs(arr[:, None] - arr[None, :])
     scale = np.maximum(np.maximum(np.abs(arr)[:, None], np.abs(arr)[None, :]), 1.0)
@@ -80,8 +82,7 @@ def homogeneous_sum(alphas, k: int) -> complex:
     arguments exactly.
     """
     arr = _as_complex_vector(alphas, "alphas")
-    if k < 0:
-        raise DomainError(f"degree must be non-negative, got {k}")
+    _checked("k", k, int, low=0)
     table = np.zeros(k + 1, dtype=complex)
     table[0] = 1.0
     for value in arr:
@@ -213,8 +214,7 @@ def f_rational(alphas, k: int) -> complex:
     pair falls inside :data:`DISTINCTNESS_RTOL`.
     """
     arr = _as_complex_vector(alphas, "alphas")
-    if k < 0:
-        raise DomainError(f"degree must be non-negative, got {k}")
+    _checked("k", k, int, low=0)
     clashes = coincident_pairs(arr)
     if clashes:
         i, j = clashes[0]

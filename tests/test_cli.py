@@ -133,6 +133,20 @@ class TestKernelCommand:
         assert capsys.readouterr().err == "error: kernel tap 1751 overflowed to (inf+nanj)\n"
         assert not (tmp_path / "k.csv").exists()
 
+    def test_main_prints_warnings_on_one_line(self, tmp_path):
+        unstable = d.DeepLinearSSM((d.LayerParams([1.5], [[1.0]]),), [1.0])
+        write_model(unstable, tmp_path / "unstable.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "deepssm.cli", "kernel", "--input", "unstable.json",
+             "--output", "k.csv", "--horizon", "3000"],
+            capture_output=True, text=True, cwd=tmp_path, env=source_env(),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "warning: spectral radius 1.5 is not below 1\n"
+            "error: kernel tap 1751 overflowed to (inf+nanj)\n"
+        )
+
 
 class TestVerifyCommand:
     def test_pass_and_fail_exit_codes(self, tmp_path):

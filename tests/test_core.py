@@ -517,6 +517,28 @@ class TestEngineAgainstOracle:
                 got = d.simulate(model, x)
         assert_matches_oracle(got, want)
 
+    def test_powers_beyond_four_overflow_with_the_state(self):
+        # 5**512 overflows while 1e-300 * 5**t stays finite up to t = 870; a
+        # block that formed 5**512 would overflow from step 512 on.
+        horizon = 1200
+        impulse = np.eye(horizon, 1)[:, 0]
+        states, mixes, read_out = [np.array([5.0])], [np.array([[1e-300]])], np.ones(1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            taps = sequential_response(states, mixes, read_out, impulse)
+        assert np.isfinite(taps).sum() == 871
+        model = d.DeepLinearSSM((d.LayerParams(states[0], mixes[0]),), read_out)
+        with pytest.warns(d.StabilityWarning):
+            assert_matches_oracle(d.simulate(model, impulse), taps)
+        for method in (d.kernel_by_simulation, d.kernel_closed_form):
+            with pytest.warns(d.StabilityWarning), pytest.raises(
+                d.NumericalError, match="kernel tap 871 overflowed"
+            ):
+                method(model, horizon)
+        # A dense state matrix sizes the block by its largest absolute row sum.
+        dense = d.DenseSSM(np.diag(states[0]), mixes[0], read_out)
+        with pytest.raises(d.NumericalError, match="kernel tap 871 overflowed"):
+            dense.kernel(horizon)
+
 
 def test_package_names_are_the_modules_names():
     # A tracer that rebinds a function by identity must find it under both names.
