@@ -210,18 +210,12 @@ def _perturbed_modes(sigma: np.ndarray) -> np.ndarray:
     The replacement kernel differs from the original by O(jitter) per
     affected mode; callers opt in explicitly.
     """
-    n = sigma.size
+    twist = np.exp(1j * np.pi * np.arange(sigma.size) / sigma.size)
+    flagged = sigma == 0
+    flagged[[j for _, j in coincident_pairs(sigma)]] = True
     scale = max(1.0, float(np.max(np.abs(sigma))))
-    flagged = {i for i, value in enumerate(sigma) if value == 0}
-    flagged.update(j for _, j in coincident_pairs(sigma))
-    out = sigma.copy()
-    for idx in sorted(flagged):
-        twist = np.exp(1j * np.pi * idx / n)
-        if out[idx] == 0:
-            out[idx] = scale * _JITTER * twist
-        else:
-            out[idx] = out[idx] * (1.0 + _JITTER * twist)
-    return out
+    jittered = np.where(sigma == 0, scale * _JITTER * twist, sigma * (1.0 + _JITTER * twist))
+    return np.where(flagged, jittered, sigma)
 
 
 def _student_shape(mode_count: int, depth: int, width, pad: bool) -> int:
@@ -274,6 +268,8 @@ def factorize(
     :class:`DomainError` before any work is done.
     """
     _checked("depth", depth, int, low=1)
+    _checked("pad", pad, bool)
+    _checked("allow_perturb", allow_perturb, bool)
     z0 = 2.0 * float(np.max(np.abs(teacher.weights()))) ** (1.0 / (depth + 1))
     try:
         scale = z0**depth
@@ -329,35 +325,29 @@ def factorize(
     # in strides of m-1, column m is identically zero past layer 1.
     alpha = np.zeros((depth, m), dtype=complex)
     weight = np.zeros((depth, m), dtype=complex)
-    alpha[0, :] = sigma[:m]
-    weight[0, :] = z[:m]
-    for i in range(1, depth):
-        for j in range(m - 1):
-            pos = i * (m - 1) + j + 1
-            alpha[i, j] = sigma[pos]
-            weight[i, j] = z[pos]
+    alpha[0], weight[0] = sigma[:m], z[:m]
+    alpha[1:, :-1] = sigma[m:].reshape(depth - 1, m - 1)
+    weight[1:, :-1] = z[m:].reshape(depth - 1, m - 1)
 
     table = np.zeros((depth, m), dtype=complex)
     for j in range(m - 1):
         table[:, j] = telescope_coefficients(alpha[:, j], weight[:, j])
     table[0, m - 1] = weight[0, m - 1]
 
-    mix = [np.zeros((m, m), dtype=complex) for _ in range(depth - 1)]
-    for layer in range(2, depth):
-        mix[layer - 2][np.arange(m - 1), np.arange(m - 1)] = z0
-    for layer in range(3, depth + 1):
-        mix[layer - 2][m - 1, m - 1] = z0
-    mix[0][m - 1, m - 1] = table[0, m - 1] / scale
-    for j in range(m - 1):
-        mix[depth - 2][j, j] = table[depth - 1, j] / scale
-    for layer in range(2, depth + 1):
-        for j in range(m - 1):
-            mix[layer - 2][m - 1, j] = table[layer - 2, j] / scale
+    # Layers 2..depth carry every column forward by z0 (the top layer's
+    # diagonal and layer 2's last entry carry weights instead), and row m
+    # feeds each column's weight from the layer below into column m.
+    mix = np.zeros((depth - 1, m, m), dtype=complex)
+    diag = np.arange(m - 1)
+    mix[:-1, diag, diag] = z0
+    mix[-1, diag, diag] = table[-1, :-1] / scale
+    mix[1:, -1, -1] = z0
+    mix[0, -1, -1] = table[0, -1] / scale
+    mix[:, -1, :-1] = table[:-1, :-1] / scale
 
     column = np.full((m, 1), z0, dtype=complex)
-    layers = [LayerParams(alpha[0], column)]
-    layers.extend(LayerParams(alpha[i], mix[i - 1]) for i in range(1, depth))
-    student = DeepLinearSSM(tuple(layers), np.full(m, z0, dtype=complex))
+    layers = (LayerParams(alpha[0], column), *map(LayerParams, alpha[1:], mix))
+    student = DeepLinearSSM(layers, np.full(m, z0, dtype=complex))
     return student, NormCertificate.evaluate(z0, parameter_norm(student))
 
 

@@ -25,7 +25,8 @@ Layers couple only within a time step, so each layer is a first-order scan
 over time: per block of ``_BLOCK`` steps, seeded with the last state of the
 block before, it doubles ``h[k:] += A^k h[:-k]`` for k = 1, 2, 4, ...
 Where a power up to half a block could overflow, the block is shorter, so
-no state overflows before it does step by step.
+every power used is finite, the products are plain ones, and no state
+overflows before it does step by step.
 Scratch memory is a few ``(_BLOCK, width)`` arrays, whatever the horizon.
 
 Every file format lives in one codec at the end of this module.
@@ -390,6 +391,7 @@ def _kernel(taps: np.ndarray) -> ConvolutionKernel:
 
 
 def _stability_gate(radius: float, strict: bool) -> None:
+    _checked("strict_stability", strict, bool)
     if radius < 1.0:
         return
     message = f"spectral radius {radius:.6g} is not below 1"
@@ -402,27 +404,15 @@ def _stability_gate(radius: float, strict: bool) -> None:
 _BLOCK = 1024
 
 
-def _times(a, rows: np.ndarray) -> np.ndarray:
-    """Apply ``a``, diagonal (1-D) or dense (2-D), to every row of ``rows``.
-
-    An exact zero contributes exactly zero, as step by step, even where a
-    power of an unstable ``a`` overflowed (O(rows * width**2) scratch).
-    """
-    if np.isfinite(a).all():
-        return rows * a if a.ndim == 1 else rows @ a.T
-    if a.ndim == 1:
-        return np.where(rows != 0, rows * a, 0)
-    rows = rows[:, None, :]
-    return np.where((rows != 0) & (a != 0), rows * a, 0).sum(axis=-1)
-
-
 def _layer_blocks(states, mixes, drive: np.ndarray):
     """Run ``h_i(t) = A_i h_i(t-1) + B_i h_{i-1}(t)`` with h_0 = ``drive``.
 
     ``states`` holds each A_i (diagonal or dense) and ``mixes`` each B_i.
     Yields ``(i, rows, h)`` block by block: layer i's states on steps ``rows``.
     A block forms A_i's powers up to half its length, so it is halved until
-    they stay finite at the largest |A_i| (absolute row sum, if dense).
+    they stay finite at the largest |A_i| (absolute row sum, if dense).  So
+    the products need no mask: no exact zero of a state meets an
+    overflowed power.
     """
     mags = np.abs(states)  # (depth, m) diagonals or (depth, m, m) dense matrices
     growth = (mags if mags.ndim == 2 else mags.sum(axis=-1)).max()
@@ -434,15 +424,18 @@ def _layer_blocks(states, mixes, drive: np.ndarray):
         rows = slice(start, start + block)
         h = drive[rows]
         for i, (a, mix) in enumerate(zip(states, mixes)):
-            # Powers of an unstable a may overflow; _times masks them.
+            # times(rows, a.T) applies a, diagonal (1-D) or dense (2-D), to each row.
+            times = np.multiply if a.ndim == 1 else np.matmul
+            # The state may overflow as it does step by step, and so may the
+            # square of the last power, which no step uses.
             with np.errstate(over="ignore", invalid="ignore"):
                 h = h @ mix.T
-                h[0] += _times(a, carries[i])
+                h[0] += times(carries[i], a.T)
                 # After offset k, h[t] sums a^j (B_i h_{i-1})[t - j], j < 2k.
                 power, k = a, 1
                 while k < len(h):
-                    h[k:] += _times(power, h[:-k])
-                    power, k = _times(power, power.T).T, 2 * k
+                    h[k:] += times(h[:-k], power.T)
+                    power, k = times(power.T, power.T).T, 2 * k
             carries[i] = h[-1]
             yield i, rows, h
 

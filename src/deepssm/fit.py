@@ -40,6 +40,7 @@ from .core import (
 from .errors import (
     DeepSsmError,
     DivergenceDetected,
+    DomainError,
     HorizonMismatch,
     ResonantEigenvalues,
     ShapeMismatch,
@@ -281,6 +282,7 @@ def init_model(
     _checked("depth", depth, int, low=1)
     _checked("width", width, int, low=1)
     _checked("init_scale", init_scale, float, above=0)
+    _checked("real", real, bool)
 
     def block(shape) -> np.ndarray:
         scale = init_scale / np.sqrt(width)
@@ -317,6 +319,7 @@ def sample_teacher(
     """
     _checked("mode_count", mode_count, int, low=1)
     _checked("scale", scale, float, above=0)
+    _checked("real", real, bool)
     moduli = np.linspace(0.3, 0.95, mode_count)
 
     def vector() -> np.ndarray:
@@ -360,6 +363,13 @@ class ExperimentRecord:
         )
 
 
+def _checked_depths(depths) -> list:
+    """Each of ``depths`` checked as a depth; ``depths`` itself must be iterable."""
+    if not np.iterable(depths):
+        raise DomainError(f"depths must be a list of integers, got {depths!r}")
+    return [_checked("depth", depth, int, low=1) for depth in depths]
+
+
 def teacher_student_experiment(
     seed: int,
     depths,
@@ -381,7 +391,8 @@ def teacher_student_experiment(
     _checked("width", width, int, low=1)
     _checked("norm_scale", norm_scale, float, above=0)
     _checked("horizon", horizon, int, low=1)
-    depths = [_checked("depth", depth, int, low=1) for depth in depths]
+    _checked("real", real, bool)
+    depths = _checked_depths(depths)
     records = []
     for cell, depth in enumerate(depths):
         rng = seeded_rng(seed, cell)
@@ -429,7 +440,8 @@ def depth_sweep_impulse(
     """
     target = impulse_target(shift, horizon).kernel()
     _checked("effective_width", effective_width, int, low=1)
-    depths = [_checked("depth", depth, int, low=1) for depth in depths]
+    _checked("real", real, bool)
+    depths = _checked_depths(depths)
     records = []
     for depth in depths:
         if (effective_width - 1) % depth != 0:

@@ -239,8 +239,15 @@ def telescope_coefficients(betas, zs) -> np.ndarray:
         sum_{k} H[k] * F_t(betas[:k+1]) = sum_{j} zs[j] * betas[j]**t
 
     for every ``t >= 0``, where ``F_t`` is the degree-``t`` complete
-    homogeneous sum.  The weights satisfy ``|H[k]| <= 2**n * max |zs|``;
-    the modulus ordering is what makes that bound hold.
+    homogeneous sum.  The weights are
+
+        H[k] = sum_{j >= k} (b_k / b_j) z_j prod_{i < k} (1 - b_i / b_j),
+
+    one cumulative product down the columns of the quotients ``b_i / b_j``,
+    ``i < j``.  The modulus ordering keeps each quotient at modulus <= 1,
+    hence ``|H[k]| <= 2**n * max |zs|``.  No power of a beta is formed, so
+    moduli near zero neither underflow nor overflow, and a zero weight adds
+    exactly zero.
     """
     b = _as_complex_vector(betas, "betas")
     z = _as_complex_vector(zs, "zs")
@@ -257,16 +264,10 @@ def telescope_coefficients(betas, zs) -> np.ndarray:
         raise DegenerateEigenvalues(
             f"betas {i} and {j} coincide within tolerance: {b[i]} vs {b[j]}"
         )
-    n = b.size
-    out = np.zeros(n, dtype=complex)
-    for k in range(1, n + 1):
-        acc = 0.0 + 0.0j
-        for j in range(k, n + 1):
-            if z[j - 1] == 0:
-                # A zero weight contributes nothing; evaluating its term
-                # anyway risks 0/0 when beta**k underflows at large k.
-                continue
-            sep = np.prod(b[j - 1] - b[: k - 1]) if k > 1 else 1.0
-            acc += z[j - 1] * b[k - 1] * sep / b[j - 1] ** k
-        out[k - 1] = acc
-    return out
+    # quotient[k, j] is b_k / b_j on and above the diagonal, 0 below it.
+    i, j = np.triu_indices(b.size, 1)
+    quotient = np.eye(b.size, dtype=complex)
+    quotient[i, j] = b[i] / b[j]
+    prefix = np.ones_like(quotient)
+    prefix[1:] = np.cumprod(1.0 - quotient[:-1], axis=0)
+    return (prefix * quotient * z).sum(axis=1)

@@ -215,6 +215,19 @@ class TestFactorize:
         )
         assert 0 < diff < 1e-4
 
+    def test_modes_near_zero_factorize_at_any_depth(self):
+        # Moduli 1e-6..1e-4 at depth 80: beta**k underflows to zero, so the
+        # telescoping weights must be formed without a power of a mode.
+        rng = d.seeded_rng(3)
+        modes = np.geomspace(1e-6, 1e-4, 161) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 161))
+        teacher = d.ShallowRealization(modes, np.ones(161), np.ones(161))
+        student, cert = d.factorize(teacher, 80)
+        assert student.depth == 80 and student.width == 3
+        assert cert.satisfied
+        want = teacher.kernel(64).taps
+        assert rel_err(d.kernel_by_simulation(student, 64).taps, want) < 1e-12
+        assert rel_err(d.kernel_closed_form(student, 64).taps, want) < 1e-12
+
     def test_zero_weight_teacher_gives_zero_student(self):
         teacher = d.ShallowRealization([0.5, 0.6, 0.7], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         student, cert = d.factorize(teacher, 2)

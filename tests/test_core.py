@@ -478,10 +478,12 @@ class TestEngineAgainstOracle:
         )
         assert_matches_oracle(dense.kernel(horizon).taps, want)
 
-    @pytest.mark.parametrize("a", [2.0, 4.0, 1e3])
+    @pytest.mark.parametrize("a", [2.0, np.nextafter(4.0, 0.0), 4.0, 1e3])
     def test_unstable_channel_without_drive(self, a):
         # Powers of a overflow inside a block; the undriven channel must
-        # still read exactly zero, as it does step by step.
+        # still read exactly zero, as it does step by step.  Just below 4 the
+        # block stays full, and a**512, the last power used, sits just below
+        # the float maximum.
         horizon = 2100
         states, mixes, read_out = [np.array([a, 0.5])], [np.array([[0.0], [1.0]])], np.ones(2)
         model = d.DeepLinearSSM((d.LayerParams(states[0], mixes[0]),), read_out)

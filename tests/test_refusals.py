@@ -4,7 +4,9 @@ A value of the wrong kind (nan, an infinity, a bool where a number is
 meant, a string, a fraction where an integer is meant) or below its bound
 raises :class:`DomainError`, and the message starts with the argument's
 name.  The table lists each entry point with valid arguments and, for each
-checked scalar, its kind and lower bound.
+checked scalar, its kind and lower bound.  A flag must be ``True`` or
+``False``, and a ``depths`` argument that is not iterable at all is refused
+under the name ``depths``.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ JORDAN_READ_IN, JORDAN_READ_OUT = np.array([0.0, 1.0]), np.array([1.0, 0.0])
 
 #: Bound kinds: ``low`` is inclusive, ``above`` exclusive, ``None`` unbounded.
 INT_FROM_0, INT_FROM_1 = (int, "low", 0), (int, "low", 1)
+FLAG, DEPTHS = (bool, None, None), (list, None, None)
 
 # label, call, valid keyword arguments, {argument: (kind, bound kind, bound)}
 ENTRY_POINTS = [
@@ -35,13 +38,19 @@ ENTRY_POINTS = [
         "kernel_by_simulation",
         lambda **kw: d.kernel_by_simulation(MODEL, **kw),
         {"horizon": 8},
-        {"horizon": INT_FROM_1},
+        {"horizon": INT_FROM_1, "strict_stability": FLAG},
     ),
     (
         "kernel_closed_form",
         lambda **kw: d.kernel_closed_form(MODEL, **kw),
         {"horizon": 8},
-        {"horizon": INT_FROM_1},
+        {"horizon": INT_FROM_1, "strict_stability": FLAG},
+    ),
+    (
+        "simulate",
+        lambda **kw: d.simulate(MODEL, [1.0, 0.0], **kw),
+        {},
+        {"strict_stability": FLAG},
     ),
     (
         "check_membership",
@@ -53,7 +62,7 @@ ENTRY_POINTS = [
         "factorize",
         lambda **kw: d.factorize(TEACHER, **kw),
         {"depth": 1, "width": 3},
-        {"depth": INT_FROM_1, "width": INT_FROM_1},
+        {"depth": INT_FROM_1, "width": INT_FROM_1, "pad": FLAG, "allow_perturb": FLAG},
     ),
     (
         "minimal_depth",
@@ -129,17 +138,22 @@ ENTRY_POINTS = [
         "init_model",
         lambda **kw: d.init_model(rng=d.seeded_rng(1), **kw),
         {"depth": 2, "width": 3, "init_scale": 1.0},
-        {"depth": INT_FROM_1, "width": INT_FROM_1, "init_scale": (float, "above", 0.0)},
+        {
+            "depth": INT_FROM_1,
+            "width": INT_FROM_1,
+            "init_scale": (float, "above", 0.0),
+            "real": FLAG,
+        },
     ),
     (
         "sample_teacher",
         lambda **kw: d.sample_teacher(rng=d.seeded_rng(1), **kw),
         {"mode_count": 3, "scale": 2.0},
-        {"mode_count": INT_FROM_1, "scale": (float, "above", 0.0)},
+        {"mode_count": INT_FROM_1, "scale": (float, "above", 0.0), "real": FLAG},
     ),
     (
         "teacher_student_experiment",
-        lambda depth, **kw: d.teacher_student_experiment(depths=[depth], **kw),
+        lambda depth, **kw: d.teacher_student_experiment(**{"depths": [depth], **kw}),
         {"seed": 1, "depth": 1, "width": 2, "norm_scale": 2.0, "horizon": 8},
         {
             "seed": INT_FROM_0,
@@ -147,12 +161,14 @@ ENTRY_POINTS = [
             "width": INT_FROM_1,
             "norm_scale": (float, "above", 0.0),
             "horizon": INT_FROM_1,
+            "real": FLAG,
+            "depths": DEPTHS,
         },
     ),
     (
         "depth_sweep_impulse",
         lambda depth, **kw: d.depth_sweep_impulse(
-            depths=[depth], config=d.TrainConfig(steps=1), **kw
+            **{"depths": [depth], "config": d.TrainConfig(steps=1), **kw}
         ),
         {"shift": 1, "horizon": 8, "effective_width": 3, "depth": 1},
         {
@@ -160,6 +176,8 @@ ENTRY_POINTS = [
             "horizon": INT_FROM_1,
             "effective_width": INT_FROM_1,
             "depth": INT_FROM_1,
+            "real": FLAG,
+            "depths": DEPTHS,
         },
     ),
 ]
@@ -169,6 +187,9 @@ def bad_values(kind, bound_kind, bound):
     """The wrong-kind values for ``kind`` and the values just below its bound."""
     if kind is bool:
         return [1, 0.0, "true", None, float("nan")]
+    if kind is list:
+        # Not iterable at all; an iterable's entries are checked as depths.
+        return [5, 2.0, None, True, float("nan")]
     values = [float("nan"), float("inf"), -float("inf"), True, "8"]
     if kind is int:
         values.append(1.5 if bound is None else bound + 0.5)
@@ -200,6 +221,15 @@ def test_valid_arguments_are_accepted(call, good):
 def test_bad_scalar_is_a_domain_error_naming_it(call, kwargs, name):
     with pytest.raises(d.DomainError, match=rf"^{name} must be "):
         call(**kwargs)
+
+
+def test_depths_may_be_any_sequence_of_integers():
+    cells = [
+        [r.content() for r in d.teacher_student_experiment(1, depths, 2, 2.0, horizon=8)]
+        for depths in ([1, 2], (1, 2), range(1, 3), np.array([1, 2]))
+    ]
+    assert all(cell == cells[0] for cell in cells)
+    assert [r[0] for r in cells[0]] == [1, 2]
 
 
 def test_shift_range_is_its_own_error():

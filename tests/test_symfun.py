@@ -263,6 +263,47 @@ class TestTelescope:
             cap = 2.0**n * np.max(np.abs(zs))
             assert np.max(np.abs(coeffs)) <= cap * (1 + 1e-12)
 
+    def test_matches_high_precision_oracle(self):
+        # The oracle is the expanded form, z_j b_k prod_{i<k} (b_j - b_i)
+        # / b_j**(k+1) summed over j >= k, in 50 digits, where b_j**(k+1)
+        # neither underflows nor overflows.  Every weight is within 1e-14 of
+        # the sum of its terms' moduli (measured: 1.1e-15); a weight whose
+        # terms all have zero weight is exactly zero.
+        mpmath = pytest.importorskip("mpmath")
+
+        def oracle(betas, zs):
+            with mpmath.workdps(50):
+                b = [mpmath.mpc(complex(v)) for v in betas]
+                z = [mpmath.mpc(complex(v)) for v in zs]
+                total = [mpmath.mpc(0)] * len(b)
+                size = [mpmath.mpf(0)] * len(b)
+                for j in range(len(b)):
+                    sep, power = mpmath.mpc(1), b[j]
+                    for k in range(j + 1):
+                        term = z[j] * b[k] * sep / power
+                        total[k] += term
+                        size[k] += abs(term)
+                        sep, power = sep * (b[j] - b[k]), power * b[j]
+                return np.array(total, dtype=complex), np.array(size, dtype=float)
+
+        for seed in range(3):
+            for n in (1, 2, 16, 40, 90):
+                rng = d.seeded_rng(seed, n)
+                betas = np.geomspace(1e-6, 0.95, n) * np.exp(
+                    2j * np.pi * rng.uniform(0.0, 1.0, n)
+                )
+                zs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                zs[rng.uniform(0.0, 1.0, n) < 0.25] = 0
+                got = d.telescope_coefficients(betas, zs)
+                want, size = oracle(betas, zs)
+                assert np.all(np.abs(got - want) <= 1e-14 * size), (seed, n)
+                assert np.all(got[size == 0] == 0)
+
+    def test_moduli_far_apart_form_no_overflowing_quotient(self):
+        # 1e10 / 1e-300 overflows; only quotients b_i / b_j with i < j appear.
+        got = d.telescope_coefficients([1e-300, 1e10], [1.0, 1.0])
+        np.testing.assert_array_equal(got, [1.0, 1.0])
+
     def test_unsorted_rejected(self):
         with pytest.raises(d.UnsortedInput):
             d.telescope_coefficients([0.9, 0.3], [1.0, 1.0])
