@@ -50,7 +50,7 @@ from .errors import (
     ZeroEigenvalue,
     _checked,
 )
-from .symfun import DISTINCTNESS_RTOL, coincident_pairs, telescope_coefficients
+from .symfun import DISTINCTNESS_RTOL, _telescope, coincident_pairs
 
 __all__ = [
     "CERTIFICATE_RTOL",
@@ -265,12 +265,15 @@ def factorize(
 
     The student's mixing entries are scaled by ``z0**depth``; a depth at
     which that overflows a float (about 1000 once ``z0`` nears 2) raises
-    :class:`DomainError` before any work is done.
+    :class:`DomainError` before any work is done.  Teacher weights or
+    telescoping weights that overflow raise :class:`NumericalError`.
     """
     _checked("depth", depth, int, low=1)
     _checked("pad", pad, bool)
     _checked("allow_perturb", allow_perturb, bool)
-    z0 = 2.0 * float(np.max(np.abs(teacher.weights()))) ** (1.0 / (depth + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = _finite(teacher.weights(), "teacher weight", base=1)
+    z0 = 2.0 * float(np.max(np.abs(weights))) ** (1.0 / (depth + 1))
     try:
         scale = z0**depth
     except OverflowError:
@@ -282,7 +285,7 @@ def factorize(
     pad_count = depth * (m - 1) + 1 - teacher.mode_count
 
     sigma = teacher.eigenvalues.copy()
-    z = teacher.weights().copy()
+    z = weights.copy()
     if pad_count:
         idx = np.arange(pad_count)
         pad_modes = (
@@ -330,9 +333,11 @@ def factorize(
     weight[1:, :-1] = z[m:].reshape(depth - 1, m - 1)
 
     table = np.zeros((depth, m), dtype=complex)
-    for j in range(m - 1):
-        table[:, j] = telescope_coefficients(alpha[:, j], weight[:, j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m - 1):
+            table[:, j] = _telescope(alpha[:, j], weight[:, j])
     table[0, m - 1] = weight[0, m - 1]
+    _finite(table, "telescoping weight", base=1)
 
     # Layers 2..depth carry every column forward by z0 (the top layer's
     # diagonal and layer 2's last entry carry weights instead), and row m
@@ -398,7 +403,8 @@ def expand_coefficients(model: DeepLinearSSM) -> ExpansionTable:
     distinct (:class:`ResonantEigenvalues` otherwise); zero eigenvalues are
     allowed but carry no term, so a nonzero-weight path made of zeros alone
     has no expansion and raises :class:`ZeroEigenvalue`.  That path is found
-    by a boolean product over the exact zeros, in O(l * m^2).
+    by a boolean product over the exact zeros, in O(l * m^2).  Coefficients
+    that overflow raise :class:`NumericalError`.
     """
     lambdas, mats = _stack(model)
     nonzero = np.concatenate(lambdas)
@@ -423,17 +429,19 @@ def expand_coefficients(model: DeepLinearSSM) -> ExpansionTable:
     for i, lam_i in enumerate(lambdas):
         (index,) = np.nonzero(lam_i)
         lam = lam_i[index]
-        # Column p of v and u is the chain at the eigenvalue lam[p].
-        v = np.broadcast_to(mats[0], (model.width, lam.size))
-        for a in range(i):
-            v = _mix(mats[a + 1], v / (1.0 - lambdas[a][:, None] / lam))
-        u = np.broadcast_to(model.read_out[:, None], v.shape)
-        for a in range(model.depth - 1, i, -1):
-            u = _mix(mats[a].T, u / (1.0 - lambdas[a][:, None] / lam))
-        xi = (u * v)[index, np.arange(lam.size)]
+        xi = np.zeros_like(lam_i)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Column p of v and u is the chain at the eigenvalue lam[p].
+            v = np.broadcast_to(mats[0], (model.width, lam.size))
+            for a in range(i):
+                v = _mix(mats[a + 1], v / (1.0 - lambdas[a][:, None] / lam))
+            u = np.broadcast_to(model.read_out[:, None], v.shape)
+            for a in range(model.depth - 1, i, -1):
+                u = _mix(mats[a].T, u / (1.0 - lambdas[a][:, None] / lam))
+            xi[index] = (u * v)[index, np.arange(lam.size)]
+        _finite(xi, f"expansion coefficient of layer {i + 1} index", base=1)
         entries.extend(
-            ExpansionEntry(i + 1, int(j) + 1, complex(lam_i[j]), complex(x))
-            for j, x in zip(index, xi)
+            ExpansionEntry(i + 1, int(j) + 1, complex(lam_i[j]), complex(xi[j])) for j in index
         )
     return ExpansionTable(tuple(entries))
 

@@ -92,12 +92,14 @@ __all__ = [
 DEFAULT_HORIZON = 64
 
 
-def _finite(arr: np.ndarray, what: str) -> np.ndarray:
-    """``arr``, unless an entry overflowed: then :class:`NumericalError` names the first."""
+def _finite(arr: np.ndarray, what: str, base: int = 0) -> np.ndarray:
+    """``arr``, unless an entry overflowed: then :class:`NumericalError` names
+    the first, counting its indices from ``base``."""
     bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
         index = tuple(int(i) for i in bad[0])
-        label = index[0] if len(index) == 1 else index
+        label = tuple(i + base for i in index)
+        label = label[0] if len(label) == 1 else label
         raise NumericalError(f"{what} {label} overflowed to {arr[index]}")
     return arr
 

@@ -196,18 +196,18 @@ def kernel_gradient(model: DeepLinearSSM, target) -> ModelGradient:
     stack: conj(residual) C drives the top layer, B_{i+1}^T adj_{i+1} layer i.
     Each gradient block is then one product over the whole trajectory.
     """
-    return _loss_and_gradient(model, _target_kernel(target))[1]
+    return _loss_and_gradient(*_stack(model), model.read_out, _target_kernel(target))[1]
 
 
-def _loss_and_gradient(model: DeepLinearSSM, ref: ConvolutionKernel):
-    """:func:`kernel_loss` and :func:`kernel_gradient` from one forward pass."""
-    diags, mats = _stack(model)
+def _loss_and_gradient(diags, mats, read_out: np.ndarray, ref: ConvolutionKernel):
+    """:func:`kernel_loss` and :func:`kernel_gradient` from one forward pass, of the
+    model as the engine takes it: the A_i and B_i of :func:`_stack`, and the read-out C."""
     impulse = np.eye(ref.horizon, 1)
     states = _trajectories(diags, mats, impulse)
-    residual = states[-1] @ model.read_out - ref.taps
+    residual = states[-1] @ read_out - ref.taps
     loss = float(np.sum(residual.real ** 2 + residual.imag ** 2))
     weights = np.conj(residual)
-    down = [model.read_out[:, None], *(mat.T for mat in mats[:0:-1])]
+    down = [read_out[:, None], *(mat.T for mat in mats[:0:-1])]
     adjoints = [a[::-1] for a in reversed(_trajectories(diags[::-1], down, weights[::-1, None]))]
     return loss, ModelGradient(
         state_diags=tuple(
@@ -221,22 +221,6 @@ def _loss_and_gradient(model: DeepLinearSSM, ref: ConvolutionKernel):
     )
 
 
-def _descend(
-    model: DeepLinearSSM, grad: ModelGradient, rate: float, project: bool
-) -> DeepLinearSSM:
-    layers = []
-    for i, layer in enumerate(model.layers):
-        diag = layer.state_diag - rate * grad.state_diags[i]
-        if project:
-            mags = np.abs(diag)
-            over = mags > _STABILITY_CLIP
-            if np.any(over):
-                shrink = np.where(over, _STABILITY_CLIP / np.maximum(mags, 1e-300), 1.0)
-                diag = diag * shrink
-        layers.append(LayerParams(diag, layer.input_matrix - rate * grad.input_matrices[i]))
-    return DeepLinearSSM(tuple(layers), model.read_out - rate * grad.read_out)
-
-
 def train(
     model: DeepLinearSSM, target, config: TrainConfig
 ) -> tuple[DeepLinearSSM, np.ndarray]:
@@ -244,25 +228,33 @@ def train(
 
     Returns the fitted model and the loss trace (initial loss plus one
     entry per step).  Raises :class:`DivergenceDetected` once the loss
-    exceeds a million times its initial value.
+    exceeds a million times its initial value or is not finite.  Descent
+    runs on the parameter arrays; the fitted model is built from the last
+    ones, whose loss was checked: a non-finite parameter makes it non-finite.
     """
     ref = _target_kernel(target)
-    loss, grad = _loss_and_gradient(model, ref)
-    trace = [loss]
-    ceiling = 1e6 * trace[0] if trace[0] > 0 else np.inf
-    for step in range(1, config.steps + 1):
-        model = _descend(model, grad, config.learning_rate, config.stability_projection)
-        # The loss of each new model comes with its gradient; the last needs none.
-        if step < config.steps:
-            loss, grad = _loss_and_gradient(model, ref)
-        else:
-            loss = kernel_loss(model, ref)
-        trace.append(loss)
-        if loss > ceiling:
-            raise DivergenceDetected(
-                f"loss {loss:.3e} exceeds 1e6 x initial {trace[0]:.3e}"
-            )
-    return model, np.asarray(trace)
+    rate = config.learning_rate
+    diags, mats = _stack(model)
+    diags, read_out, trace = np.array(diags), model.read_out, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps + 1):
+            if step:
+                diags = diags - rate * np.array(grad.state_diags)
+                mats = [b - rate * g for b, g in zip(mats, grad.input_matrices)]
+                read_out = read_out - rate * grad.read_out
+                if config.stability_projection:
+                    mags = np.abs(diags)
+                    shrink = _STABILITY_CLIP / np.maximum(mags, 1e-300)
+                    diags = np.where(mags > _STABILITY_CLIP, diags * shrink, diags)
+            loss, grad = _loss_and_gradient(diags, mats, read_out, ref)
+            trace.append(loss)
+            if not np.isfinite(loss):
+                raise DivergenceDetected(f"loss overflowed to {loss} at step {step}")
+            if loss > 1e6 * trace[0] > 0:  # a zero initial loss sets no ceiling
+                raise DivergenceDetected(
+                    f"loss {loss:.3e} exceeds 1e6 x initial {trace[0]:.3e}"
+                )
+    return DeepLinearSSM(tuple(map(LayerParams, diags, mats)), read_out), np.asarray(trace)
 
 
 def init_model(

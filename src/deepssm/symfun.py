@@ -264,6 +264,11 @@ def telescope_coefficients(betas, zs) -> np.ndarray:
         raise DegenerateEigenvalues(
             f"betas {i} and {j} coincide within tolerance: {b[i]} vs {b[j]}"
         )
+    return _telescope(b, z)
+
+
+def _telescope(b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """:func:`telescope_coefficients` of ``b`` and ``z`` that pass its checks."""
     # quotient[k, j] is b_k / b_j on and above the diagonal, 0 below it.
     i, j = np.triu_indices(b.size, 1)
     quotient = np.eye(b.size, dtype=complex)

@@ -468,6 +468,45 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # Every entry is finite, but the weight of mode 1 is 1e400.
+    OVERFLOWING_WEIGHT = (
+        '{"layers": [{"state_diag": [[0.5, 0], [0.25, 0], [0.75, 0]], '
+        '"input_matrix": [[[1e200, 0]], [[1, 0]], [[1, 0]]]}], '
+        '"read_out": [[1e200, 0], [1, 0], [1, 0]]}'
+    )
+    FACTORIZE = ["factorize", "--input", "{file}", "--output", "{out}.json", "--depth"]
+    EXPANSION_OVERFLOW = "expansion coefficient of layer 1 index 1 overflowed to (inf+0j)"
+    WEIGHT_OVERFLOW = "teacher weight 1 overflowed to (inf+0j)"
+
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            (OVERFLOWING_WEIGHT, ["expand", "--input", "{file}", "--output", "{out}.json"],
+             EXPANSION_OVERFLOW),
+            (OVERFLOWING_WEIGHT, ["expand", "--input", "{file}", "--output", "{out}.csv"],
+             EXPANSION_OVERFLOW),
+            (OVERFLOWING_WEIGHT, FACTORIZE + ["1"], WEIGHT_OVERFLOW),
+            (OVERFLOWING_WEIGHT, FACTORIZE + ["2"], WEIGHT_OVERFLOW),
+            (config_text(IMPULSE_CONFIG, depths=[2, 3],
+                         train={"learning_rate": 1e150, "steps": 5}),
+             IMPULSE, "loss overflowed to nan at step 1"),
+        ],
+        ids=["expand-json", "expand-csv", "factorize-depth-1", "factorize-depth-2",
+             "train-impulse"],
+    )
+    def test_overflow_exits_3_with_one_line_and_no_file(
+        self, tmp_path, capsys, text, argv, message
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = [a.format(file=path, out=tmp_path / "out") for a in argv]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert cli.run(argv) == 3
+        assert [str(w.message) for w in seen] == []
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == ["input.json"]
+
     def test_usage_error(self, capsys):
         assert cli.run([]) == 2
         assert cli.run(["no-such-command"]) == 2

@@ -1,5 +1,7 @@
 """Unit tests for the shallow/deep conversion routines."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,24 @@ class TestFactorize:
         with pytest.raises(d.DomainError, match="overflows a float"):
             d.factorize(teacher, 10_000_000)
 
+    @pytest.mark.parametrize(
+        "read_out, depth, message",
+        [
+            # Every entry is finite, but the weight b_2 c_2 = 1e400 is not.
+            ([1.0, 1e200, 1.0], 1, r"teacher weight 2 overflowed to \(inf\+0j\)"),
+            ([1.0, 1e200, 1.0], 2, r"teacher weight 2 overflowed to \(inf\+0j\)"),
+            # The weights +-1.69e308 are finite, but their telescoped sum is not.
+            ([1.3e154, -1.3e154, 1.3e154], 2, r"telescoping weight \(1, 1\) overflowed"),
+        ],
+        ids=["teacher-weight-depth-1", "teacher-weight-depth-2", "telescoping-weight"],
+    )
+    def test_overflowing_weight_is_numerical_error(self, read_out, depth, message):
+        teacher = d.ShallowRealization([0.3, 0.5, 0.7], np.abs(read_out), read_out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(d.NumericalError, match=message):
+                d.factorize(teacher, depth)
+
 
 class TestMinimalDepth:
     def test_frozen_examples(self):
@@ -394,6 +414,18 @@ class TestExpand:
         assert len(lines) == 5
         data = table.to_json_dict()
         assert len(data["entries"]) == 4
+
+    def test_overflowing_coefficient_is_numerical_error(self):
+        # Every entry is finite, but xi = C[2] B_1[2] = 1e400 is not; the
+        # message counts layer and index from 1, like the table.
+        model = d.DeepLinearSSM((d.LayerParams([0.5, 0.25], [[1.0], [1e200]]),), [1.0, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                d.NumericalError,
+                match=r"expansion coefficient of layer 1 index 2 overflowed to \(inf\+0j\)",
+            ):
+                d.expand_coefficients(model)
 
 
 def expansion_array(model):

@@ -1,6 +1,7 @@
 """Unit tests for training, gradients, and the experiment drivers."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,24 @@ class TestTrain:
         config = d.TrainConfig(learning_rate=50.0, steps=200, stability_projection=False)
         with pytest.raises(d.DivergenceDetected):
             d.train(model, target, config)
+
+    @pytest.mark.parametrize(
+        "model, config, message",
+        [
+            # The first step of this rate overflows every parameter.
+            (d.init_model(2, 3, d.seeded_rng(46)), d.TrainConfig(learning_rate=1e150, steps=5),
+             "loss overflowed to nan at step 1"),
+            # The parameters are finite, the taps 1e400 * 0.5**t are not.
+            (d.DeepLinearSSM((d.LayerParams([0.5], [[1e200]]),), [1e200]), d.TrainConfig(steps=0),
+             "loss overflowed to inf at step 0"),
+        ],
+        ids=["overflowing-step", "overflowing-initial-loss"],
+    )
+    def test_non_finite_loss_is_divergence(self, model, config, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(d.DivergenceDetected, match=message):
+                d.train(model, d.impulse_target(1, 16), config)
 
     def test_projection_caps_eigenvalue_moduli(self):
         model = d.init_model(2, 3, d.seeded_rng(47))
