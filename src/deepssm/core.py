@@ -33,8 +33,9 @@ Every file format lives in one codec at the end of this module.
 :func:`_pairs` writes a complex array of any rank as nested ``[re, im]``
 pairs (matrices row-major) and :func:`_complex_array` reads it back,
 refusing anything but a rectangular nest of int or float pairs.  One JSON
-writer (indent 2, to a file replaced atomically or to stdout) and one CSV
-formatter write every file.  Floats are written as their shortest
+writer (exactly ``json.dumps(indent=2)``, each list of pairs formatted in one
+step; to a file replaced atomically or to stdout) and one CSV formatter
+write every file.  Floats are written as their shortest
 round-trip decimal and read back through a float-to-complex view, so round
 trips are bit-for-bit, signed zeros included.
 """
@@ -605,6 +606,31 @@ def _complex_array(obj, ndim: int) -> np.ndarray:
     return flat.view(complex).reshape([max(level, default=0) for level in sizes])
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, nested at the line start ``pad``.
+
+    A list of ``[float, float]`` pairs is one ``%``-format of its floats
+    (``json`` writes a float by its ``repr``).  Scalars, empty containers,
+    dicts with a non-string key and pair lists holding a non-finite float
+    (``nan`` or ``inf`` in the text) are left to ``json.dumps``, which writes
+    ``NaN`` and ``Infinity``.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        items = (json.dumps(key) + ": " + _json_text(value, inner) for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        pairs = set(map(type, obj)) == {list} and set(map(len, obj)) == {2}
+        flat = tuple(itertools.chain.from_iterable(obj)) if pairs else ()
+        if not pairs or set(map(type, flat)) != {float}:
+            return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + pad + "]"
+        pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
+        text = ("[" + inner + ("," + inner).join([pair] * len(obj)) + pad + "]") % flat
+        if "n" not in text:
+            return text
+    return json.dumps(obj, indent=2).replace("\n", pad)
+
+
 def _write_json(data, path) -> None:
     """Write ``data`` (a dict, or a dataclass by its fields) as indented JSON.
 
@@ -613,7 +639,7 @@ def _write_json(data, path) -> None:
     """
     if is_dataclass(data):
         data = asdict(data)
-    text = json.dumps(data, indent=2) + "\n"
+    text = _json_text(data) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

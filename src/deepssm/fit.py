@@ -194,7 +194,8 @@ def kernel_gradient(model: DeepLinearSSM, target) -> ModelGradient:
 
     The adjoint is the recurrence engine run backwards in time on the reversed
     stack: conj(residual) C drives the top layer, B_{i+1}^T adj_{i+1} layer i.
-    Each gradient block is then one product over the whole trajectory.
+    Each gradient block is then one product over the whole trajectory.  A loss
+    that is not finite raises :class:`DivergenceDetected` before the adjoint runs.
     """
     return _loss_and_gradient(*_stack(model), model.read_out, _target_kernel(target))[1]
 
@@ -204,8 +205,11 @@ def _loss_and_gradient(diags, mats, read_out: np.ndarray, ref: ConvolutionKernel
     model as the engine takes it: the A_i and B_i of :func:`_stack`, and the read-out C."""
     impulse = np.eye(ref.horizon, 1)
     states = _trajectories(diags, mats, impulse)
-    residual = states[-1] @ read_out - ref.taps
-    loss = float(np.sum(residual.real ** 2 + residual.imag ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = states[-1] @ read_out - ref.taps
+        loss = float(np.sum(residual.real ** 2 + residual.imag ** 2))
+    if not np.isfinite(loss):
+        raise DivergenceDetected(f"loss overflowed to {loss}")
     weights = np.conj(residual)
     down = [read_out[:, None], *(mat.T for mat in mats[:0:-1])]
     adjoints = [a[::-1] for a in reversed(_trajectories(diags[::-1], down, weights[::-1, None]))]
@@ -246,10 +250,11 @@ def train(
                     mags = np.abs(diags)
                     shrink = _STABILITY_CLIP / np.maximum(mags, 1e-300)
                     diags = np.where(mags > _STABILITY_CLIP, diags * shrink, diags)
-            loss, grad = _loss_and_gradient(diags, mats, read_out, ref)
+            try:
+                loss, grad = _loss_and_gradient(diags, mats, read_out, ref)
+            except DivergenceDetected as exc:
+                raise DivergenceDetected(f"{exc} at step {step}") from None
             trace.append(loss)
-            if not np.isfinite(loss):
-                raise DivergenceDetected(f"loss overflowed to {loss} at step {step}")
             if loss > 1e6 * trace[0] > 0:  # a zero initial loss sets no ceiling
                 raise DivergenceDetected(
                     f"loss {loss:.3e} exceeds 1e6 x initial {trace[0]:.3e}"

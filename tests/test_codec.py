@@ -11,9 +11,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import deepssm as d
 from deepssm import cli
+from deepssm.core import _write_json
 from conftest import (
     certificate_json,
     csv_writer_kernel_csv,
@@ -230,3 +233,42 @@ def test_integer_pairs_read_as_floats():
     model = d.model_from_json_dict(model_with(state_diag=[[1, -0]], read_out=[[2, 3]]))
     assert model.layers[0].state_diag.tolist() == [1.0 + 0.0j]
     assert model.read_out.tolist() == [2.0 + 3.0j]
+
+
+# The writer against ``json.dumps(indent=2)`` itself, on nests that reach its
+# fast path (lists of float pairs), each reason to leave it (non-string keys
+# too), and every scalar.
+EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 2.5e-05]
+floats = st.sampled_from(EDGE_FLOATS) | st.floats()
+scalars = st.none() | st.booleans() | st.integers() | floats | st.text(max_size=4)
+pair_like = (
+    st.lists(floats, min_size=2, max_size=2)
+    | st.tuples(st.integers() | st.booleans(), floats).map(list)
+    | st.lists(floats, min_size=1, max_size=3)
+)
+float_pairs = st.lists(st.lists(floats, min_size=2, max_size=2), max_size=5)
+pair_lists = float_pairs | st.lists(pair_like, max_size=5)
+odd_keys = ['"q"', "back\\slash", "new\nline", "\x00", "é", "\u2028", "😀"]
+keys = st.sampled_from(odd_keys) | st.text(max_size=4) | st.integers() | st.none()
+nests = st.recursive(
+    scalars | pair_lists | st.lists(pair_lists, max_size=3),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(keys, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=nests)
+@example(data=[[1.0], [2.0, 3.0, 4.0]])  # ragged, with the float count of two pairs
+@example(data={"pairs": [[0.1 + 0.2, -0.0]]})  # a 17-digit float
+def test_json_writer_is_json_dumps(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "nest.json"
+    _write_json(data, path)
+    assert path.read_text(encoding="ascii") == json.dumps(data, indent=2) + "\n"
+
+
+def test_wide_model_json_bytes(tmp_path):
+    # The benchmark's width: 101 pairs per row, formatted in one step each.
+    model = special_model(np.random.default_rng(101), 2, 101)
+    d.save_model(model, tmp_path / "wide.json")
+    assert (tmp_path / "wide.json").read_text() == entrywise_model_json(model)

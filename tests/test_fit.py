@@ -192,6 +192,16 @@ class TestKernelGradient:
         grad = d.kernel_gradient(model, d.impulse_target(4, 24))
         assert gradient_as_vector(grad).imag.max() == 0.0
 
+    def test_non_finite_loss_is_divergence_not_a_nan_gradient(self):
+        # Finite parameters whose taps 1e400 * 0.5**t overflow; kernel_loss says inf.
+        model = d.DeepLinearSSM((d.LayerParams([0.5], [[1e200]]),), [1e200])
+        target = d.impulse_target(1, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.kernel_loss(model, target) == np.inf
+            with pytest.raises(d.DivergenceDetected, match="^loss overflowed to inf$"):
+                d.kernel_gradient(model, target)
+
 
 class TestTrain:
     def test_zero_rate_keeps_model_and_trace_flat(self):
