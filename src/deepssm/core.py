@@ -30,14 +30,16 @@ overflows before it does step by step.
 Scratch memory is a few ``(_BLOCK, width)`` arrays, whatever the horizon.
 
 Every file format lives in one codec at the end of this module.
-:func:`_pairs` writes a complex array of any rank as nested ``[re, im]``
-pairs (matrices row-major) and :func:`_complex_array` reads it back,
-refusing anything but a rectangular nest of int or float pairs.  One JSON
-writer (exactly ``json.dumps(indent=2)``, each list of pairs formatted in one
-step; to a file replaced atomically or to stdout) and one CSV formatter
-write every file.  Floats are written as their shortest
-round-trip decimal and read back through a float-to-complex view, so round
-trips are bit-for-bit, signed zeros included.
+A complex array of any rank is written as nested ``[re, im]`` pairs
+(matrices row-major), the layout of :func:`_pairs`, and
+:func:`_complex_array` reads it back, refusing anything but a rectangular
+nest of int or float pairs, through one flat float buffer.  One JSON writer
+(exactly ``json.dumps(indent=2)``; to a file replaced atomically or to
+stdout) and one CSV formatter write every file.  The writer takes complex
+arrays as they are and formats a vector or matrix from its floats, with one
+shared string for every ``+0.0`` pair.  Floats are written as their
+shortest round-trip decimal and read back through a float-to-complex view,
+so round trips are bit-for-bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -576,8 +578,8 @@ def _complex_array(obj, ndim: int) -> np.ndarray:
 
     ``obj`` must be ``ndim`` levels of lists (the outermost non-empty for a
     matrix), rectangular, around ``[re, im]`` pairs of ints or floats; bools
-    and strings are refused.  Floats become complex through a view, which
-    keeps the sign of every zero.
+    and strings are refused.  The pairs fill one flat float buffer, which
+    becomes complex through a view, keeping the sign of every zero.
     """
     nest, sizes = [obj], []
     for level in range(ndim):
@@ -596,7 +598,7 @@ def _complex_array(obj, ndim: int) -> np.ndarray:
         bad = next((i for i, pair in enumerate(nest) if not _is_pair(pair)), bad)
     try:
         # The pairs before the first malformed one, so errors come in entry order.
-        flat = np.array(nest[:bad], dtype=float).reshape(-1, 2)
+        flat = np.fromiter(itertools.chain.from_iterable(nest[:bad]), float, 2 * bad)
     except OverflowError as exc:
         raise DomainError(f"[re, im] pair does not fit a float: {exc}") from exc
     if bad < len(nest):
@@ -606,28 +608,49 @@ def _complex_array(obj, ndim: int) -> np.ndarray:
     return flat.view(complex).reshape([max(level, default=0) for level in sizes])
 
 
-def _json_text(obj, pad: str = "\n") -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, nested at the line start ``pad``.
+def _array_text(arr: np.ndarray, pad: str) -> str:
+    """Exactly ``json.dumps(_pairs(arr), indent=2)`` of a finite, non-empty
+    complex vector or matrix, nested at the line start ``pad``.
 
-    A list of ``[float, float]`` pairs is one ``%``-format of its floats
-    (``json`` writes a float by its ``repr``).  Scalars, empty containers,
-    dicts with a non-string key and pair lists holding a non-finite float
-    (``nan`` or ``inf`` in the text) are left to ``json.dumps``, which writes
-    ``NaN`` and ``Infinity``.
+    A pair of two ``+0.0`` (by bit pattern, so ``-0.0`` is still written) is
+    one shared string; every other pair is ``%r`` of its floats (``json``
+    writes a float by its ``repr``).
+    """
+    rows = pad + "  " * (arr.ndim - 1)  # line start of each vector's brackets
+    inner, leaf = rows + "  ", rows + "    "
+    floats = np.ascontiguousarray(arr, dtype=complex).view(float).reshape(-1, 2)
+    texts = ["[" + leaf + "0.0," + leaf + "0.0" + inner + "]"] * len(floats)
+    pair = "[" + leaf + "%r," + leaf + "%r" + inner + "]"
+    nonzero = np.flatnonzero(floats.view(np.uint64).any(axis=1))
+    for k, (re, im) in zip(nonzero.tolist(), floats[nonzero].tolist()):
+        texts[k] = pair % (re, im)
+    width = arr.shape[-1]
+    vectors = [
+        "[" + inner + ("," + inner).join(texts[k : k + width]) + rows + "]"
+        for k in range(0, len(texts), width)
+    ]
+    return vectors[0] if arr.ndim == 1 else "[" + rows + ("," + rows).join(vectors) + pad + "]"
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, nested at the line start ``pad``,
+    with a complex ``ndarray`` written as its :func:`_pairs`.
+
+    Finite, non-empty vectors and matrices go to :func:`_array_text`.  Other
+    arrays (after :func:`_pairs`), scalars, empty containers and dicts with a
+    non-string key are left to ``json.dumps``, which writes ``NaN`` and
+    ``Infinity``.
     """
     inner = pad + "  "
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj) and obj.ndim in (1, 2) and obj.size and np.isfinite(obj).all():
+            return _array_text(obj, pad)
+        obj = _pairs(obj)
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
         items = (json.dumps(key) + ": " + _json_text(value, inner) for key, value in obj.items())
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)) and obj:
-        pairs = set(map(type, obj)) == {list} and set(map(len, obj)) == {2}
-        flat = tuple(itertools.chain.from_iterable(obj)) if pairs else ()
-        if not pairs or set(map(type, flat)) != {float}:
-            return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + pad + "]"
-        pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
-        text = ("[" + inner + ("," + inner).join([pair] * len(obj)) + pad + "]") % flat
-        if "n" not in text:
-            return text
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + pad + "]"
     return json.dumps(obj, indent=2).replace("\n", pad)
 
 
@@ -655,14 +678,19 @@ def _csv_text(header: str, rows) -> str:
     return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def model_to_json_dict(model: DeepLinearSSM) -> dict:
+def _model_dict(model: DeepLinearSSM, encode) -> dict:
+    """The model JSON layout, with ``encode`` applied to each array."""
     return {
         "layers": [
-            {"state_diag": _pairs(layer.state_diag), "input_matrix": _pairs(layer.input_matrix)}
+            {"state_diag": encode(layer.state_diag), "input_matrix": encode(layer.input_matrix)}
             for layer in model.layers
         ],
-        "read_out": _pairs(model.read_out),
+        "read_out": encode(model.read_out),
     }
+
+
+def model_to_json_dict(model: DeepLinearSSM) -> dict:
+    return _model_dict(model, _pairs)
 
 
 def model_from_json_dict(data) -> DeepLinearSSM:
@@ -713,7 +741,7 @@ def _read_json(path):
 
 
 def save_model(model: DeepLinearSSM, path) -> None:
-    _write_json(model_to_json_dict(model), path)
+    _write_json(_model_dict(model, np.asarray), path)
 
 
 def load_model(path) -> DeepLinearSSM:
@@ -723,9 +751,9 @@ def load_model(path) -> DeepLinearSSM:
 def save_dense(dense: DenseSSM, path) -> None:
     _write_json(
         {
-            "state_matrix": _pairs(dense.state_matrix),
-            "read_in": _pairs(dense.read_in),
-            "read_out": _pairs(dense.read_out),
+            "state_matrix": dense.state_matrix,
+            "read_in": dense.read_in,
+            "read_out": dense.read_out,
         },
         path,
     )

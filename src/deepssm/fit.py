@@ -186,7 +186,8 @@ def kernel_loss(model_or_kernel, target) -> float:
             )
         probe = probe_kernel.taps
     residual = probe - ref.taps
-    return float(np.sum(residual.real ** 2 + residual.imag ** 2))
+    with np.errstate(over="ignore"):
+        return float(np.sum(residual.real ** 2 + residual.imag ** 2))
 
 
 def kernel_gradient(model: DeepLinearSSM, target) -> ModelGradient:
@@ -195,7 +196,9 @@ def kernel_gradient(model: DeepLinearSSM, target) -> ModelGradient:
     The adjoint is the recurrence engine run backwards in time on the reversed
     stack: conj(residual) C drives the top layer, B_{i+1}^T adj_{i+1} layer i.
     Each gradient block is then one product over the whole trajectory.  A loss
-    that is not finite raises :class:`DivergenceDetected` before the adjoint runs.
+    that is not finite raises :class:`DivergenceDetected` before the adjoint runs,
+    and so does a gradient block that overflowed, naming the first (A_i, then
+    B_i, then C).
     """
     return _loss_and_gradient(*_stack(model), model.read_out, _target_kernel(target))[1]
 
@@ -208,21 +211,28 @@ def _loss_and_gradient(diags, mats, read_out: np.ndarray, ref: ConvolutionKernel
     with np.errstate(over="ignore", invalid="ignore"):
         residual = states[-1] @ read_out - ref.taps
         loss = float(np.sum(residual.real ** 2 + residual.imag ** 2))
-    if not np.isfinite(loss):
-        raise DivergenceDetected(f"loss overflowed to {loss}")
-    weights = np.conj(residual)
-    down = [read_out[:, None], *(mat.T for mat in mats[:0:-1])]
-    adjoints = [a[::-1] for a in reversed(_trajectories(diags[::-1], down, weights[::-1, None]))]
-    return loss, ModelGradient(
-        state_diags=tuple(
-            2.0 * np.conj(np.sum(adj[1:] * h[:-1], axis=0))
-            for adj, h in zip(adjoints, states)
-        ),
-        input_matrices=tuple(
-            2.0 * np.conj(adj.T @ h) for adj, h in zip(adjoints, [impulse, *states])
-        ),
-        read_out=2.0 * np.conj(weights @ states[-1]),
-    )
+        if not np.isfinite(loss):
+            raise DivergenceDetected(f"loss overflowed to {loss}")
+        weights = np.conj(residual)
+        down = [read_out[:, None], *(mat.T for mat in mats[:0:-1])]
+        backward = _trajectories(diags[::-1], down, weights[::-1, None])
+        adjoints = [a[::-1] for a in reversed(backward)]
+        grad = ModelGradient(
+            state_diags=tuple(
+                2.0 * np.conj(np.sum(adj[1:] * h[:-1], axis=0))
+                for adj, h in zip(adjoints, states)
+            ),
+            input_matrices=tuple(
+                2.0 * np.conj(adj.T @ h) for adj, h in zip(adjoints, [impulse, *states])
+            ),
+            read_out=2.0 * np.conj(weights @ states[-1]),
+        )
+    blocks = [*grad.state_diags, *grad.input_matrices, grad.read_out]
+    if not np.isfinite(np.concatenate(blocks, axis=None)).all():
+        names = [f"{kind}{i}" for kind in "AB" for i in range(1, len(diags) + 1)] + ["C"]
+        bad = next(name for name, b in zip(names, blocks) if not np.isfinite(b).all())
+        raise DivergenceDetected(f"gradient of {bad} overflowed")
+    return loss, grad
 
 
 def train(

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import deepssm as d
 from deepssm import cli
-from deepssm.core import _write_json
+from deepssm.core import _pairs, _write_json
 from conftest import (
     certificate_json,
     csv_writer_kernel_csv,
@@ -41,8 +41,8 @@ def planted(rng, arr, *, values=SPECIAL):
     return arr
 
 
-def special_model(rng, depth, width, *, values=SPECIAL):
-    base = random_model(rng, depth, width)
+def planted_model(rng, base, *, values=SPECIAL):
+    """Copy of the model ``base`` with special values planted in every array."""
     layers = tuple(
         d.LayerParams(
             planted(rng, x.state_diag, values=values), planted(rng, x.input_matrix, values=values)
@@ -50,6 +50,10 @@ def special_model(rng, depth, width, *, values=SPECIAL):
         for x in base.layers
     )
     return d.DeepLinearSSM(layers, planted(rng, base.read_out, values=values))
+
+
+def special_model(rng, depth, width, *, values=SPECIAL):
+    return planted_model(rng, random_model(rng, depth, width), values=values)
 
 
 def bits(arr):
@@ -235,9 +239,9 @@ def test_integer_pairs_read_as_floats():
     assert model.read_out.tolist() == [2.0 + 3.0j]
 
 
-# The writer against ``json.dumps(indent=2)`` itself, on nests that reach its
-# fast path (lists of float pairs), each reason to leave it (non-string keys
-# too), and every scalar.
+# The writer against ``json.dumps(indent=2)`` itself, on nests of lists,
+# lists of float pairs (written level by level), dicts with odd and
+# non-string keys, and every scalar.
 EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 2.5e-05]
 floats = st.sampled_from(EDGE_FLOATS) | st.floats()
 scalars = st.none() | st.booleans() | st.integers() | floats | st.text(max_size=4)
@@ -272,3 +276,52 @@ def test_wide_model_json_bytes(tmp_path):
     model = special_model(np.random.default_rng(101), 2, 101)
     d.save_model(model, tmp_path / "wide.json")
     assert (tmp_path / "wide.json").read_text() == entrywise_model_json(model)
+
+
+# The array writer against ``json.dumps`` of the pair lists it replaced, on
+# vectors and matrices up to the benchmark's width: runs of exact zeros (one
+# shared string) between signed zeros (formatted, so told apart by their
+# bits), subnormals, floats whose repr has an exponent, 17-digit floats and
+# any other finite float.
+ARRAY_ENTRIES = [
+    complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+    5e-324, 1e16, 0.1 + 0.2, complex(1e16, -5e-324), -2.5e-05j,
+]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def complex_arrays(draw):
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(1, 101))
+    arr = np.zeros((cols,) if rows == 0 else (rows, cols), dtype=complex)
+    flat = arr.reshape(-1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.03, 0.3, 1.0]))
+    planted_at = np.flatnonzero(rng.random(flat.size) < share)
+    flat[planted_at] = rng.choice(ARRAY_ENTRIES, planted_at.size)
+    for k in draw(st.lists(st.integers(0, flat.size - 1), max_size=4)):
+        flat[k] = complex(draw(finite_floats), draw(finite_floats))
+    return arr
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(arr=complex_arrays())
+@example(arr=np.array([[complex(0.0, -0.0), 0.0, complex(-0.0, 0.0)], [0.0, -0.0, 0.0]]))
+def test_array_writer_is_json_dumps_of_pairs(tmp_path_factory, arr):
+    path = tmp_path_factory.getbasetemp() / "array.json"
+    _write_json({"a": arr}, path)
+    assert path.read_text(encoding="ascii") == json.dumps({"a": _pairs(arr)}, indent=2) + "\n"
+
+
+def test_student_round_trip_is_bit_exact(tmp_path):
+    # A width-101, depth-3 student: mostly exact +0.0 pairs, with signed
+    # zeros and the smallest subnormal planted among them.
+    student, _ = d.factorize(d.sample_teacher(301, 2.0, d.seeded_rng(17)), 3)
+    values = [-0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324, complex(-5e-324, 5e-324)]
+    model = planted_model(np.random.default_rng(17), student, values=values)
+    d.save_model(model, tmp_path / "student.json")
+    again = d.load_model(tmp_path / "student.json")
+    for a, b in zip(again.layers, model.layers):
+        np.testing.assert_array_equal(bits(a.state_diag), bits(b.state_diag))
+        np.testing.assert_array_equal(bits(a.input_matrix), bits(b.input_matrix))
+    np.testing.assert_array_equal(bits(again.read_out), bits(model.read_out))

@@ -202,6 +202,36 @@ class TestKernelGradient:
             with pytest.raises(d.DivergenceDetected, match="^loss overflowed to inf$"):
                 d.kernel_gradient(model, target)
 
+    def test_loss_whose_square_overflows_is_inf_without_a_warning(self):
+        # Finite taps near 1e250, whose squares overflow.
+        model = d.DeepLinearSSM(
+            (d.LayerParams([0.5], [[1e-50]]), d.LayerParams([0.5], [[1e200]])), [1e100]
+        )
+        target = d.impulse_target(1, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(d.kernel_by_simulation(model, 16).taps).all()
+            assert d.kernel_loss(model, target) == np.inf
+            with pytest.raises(d.DivergenceDetected, match="^loss overflowed to inf$"):
+                d.kernel_gradient(model, target)
+
+    @pytest.mark.parametrize(
+        "mats, read_out, block",
+        [
+            # Loss 1.33e300, but the read-out gradient sum_t r(t) h(t) is about 1e350.
+            ([[[1e200]]], [1e-50], "C"),
+            ([[[1e150]], [[1e-100]]], [1e100], "B2"),
+        ],
+    )
+    def test_overflowed_gradient_is_divergence_naming_the_block(self, mats, read_out, block):
+        model = d.DeepLinearSSM(tuple(d.LayerParams([0.5], mat) for mat in mats), read_out)
+        target = d.impulse_target(1, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(d.kernel_loss(model, target))
+            with pytest.raises(d.DivergenceDetected, match=f"^gradient of {block} overflowed$"):
+                d.kernel_gradient(model, target)
+
 
 class TestTrain:
     def test_zero_rate_keeps_model_and_trace_flat(self):
