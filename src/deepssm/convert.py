@@ -115,6 +115,8 @@ class ExpansionTable:
     entries: tuple[ExpansionEntry, ...]
 
     def kernel(self, horizon: int = DEFAULT_HORIZON) -> ConvolutionKernel:
+        if not self.entries:  # every eigenvalue was zero: the zero kernel
+            return ConvolutionKernel(np.zeros(_checked("horizon", horizon, int, low=1)))
         eigenvalues = [entry.eigenvalue for entry in self.entries]
         coefficients = [entry.coefficient for entry in self.entries]
         modal = ShallowRealization(eigenvalues, coefficients, np.ones(len(self.entries)))

@@ -29,6 +29,14 @@ every power used is finite, the products are plain ones, and no state
 overflows before it does step by step.
 Scratch memory is a few ``(_BLOCK, width)`` arrays, whatever the horizon.
 
+Every array of every model type is built by :func:`~deepssm.symfun._array`,
+one rule for the package: not a rectangular nest of numbers, the wrong
+rank, empty or a non-square state matrix is :class:`ShapeMismatch`, a
+non-finite entry :class:`DomainError`, and a length or row count off the
+model's width :class:`WidthMismatch`.  :class:`DenseSSM` is valid exactly
+when its one-layer :class:`DenseDeepSSM` is, and :class:`DeepLinearSSM`
+checks only the shapes of layers that checked their own arrays.
+
 Every file format lives in one codec at the end of this module.
 A complex array of any rank is written as nested ``[re, im]`` pairs
 (matrices row-major), the layout of :func:`_pairs`, and
@@ -63,7 +71,7 @@ from .errors import (
     WidthMismatch,
     _checked,
 )
-from .symfun import _mix, extend_homogeneous
+from .symfun import _array, _mix, extend_homogeneous
 
 __all__ = [
     "DEFAULT_HORIZON",
@@ -107,12 +115,26 @@ def _finite(arr: np.ndarray, what: str, base: int = 0) -> np.ndarray:
     return arr
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=complex)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("model parameters must be finite")
-    arr.setflags(write=False)
-    return arr
+def _check_stack(states, mats) -> int:
+    """The width m of a layer stack with these A_i and B_i, which must be
+    as many, non-empty, all of width m, with B_1 of shape (m, 1) and every
+    other B_i (m, m)."""
+    if not states or len(states) != len(mats):
+        raise ShapeMismatch(
+            f"a model needs one input matrix per layer and at least one layer, "
+            f"got {len(mats)} for {len(states)}"
+        )
+    m = len(states[0])
+    if mats[0].shape[1] != 1:
+        raise ShapeMismatch(f"layer 1 input matrix must have one column, got {mats[0].shape}")
+    for i, (a, b) in enumerate(zip(states, mats), start=1):
+        want = (m, 1 if i == 1 else m)
+        if len(a) != m or b.shape != want:
+            raise WidthMismatch(
+                f"layer {i} has width {len(a)} and input matrix shape {b.shape}, "
+                f"expected width {m} and {want}"
+            )
+    return m
 
 
 @dataclass(frozen=True)
@@ -128,21 +150,8 @@ class LayerParams:
     input_matrix: np.ndarray
 
     def __post_init__(self):
-        diag = _freeze(np.atleast_1d(self.state_diag))
-        if diag.ndim != 1:
-            raise ShapeMismatch(f"state_diag must be a vector, got shape {diag.shape}")
-        mat = np.asarray(self.input_matrix)
-        if mat.ndim == 1:
-            mat = mat[:, None]
-        mat = _freeze(mat)
-        if mat.ndim != 2:
-            raise ShapeMismatch(
-                f"input_matrix must be two-dimensional, got shape {mat.shape}"
-            )
-        if mat.shape[0] != diag.size:
-            raise WidthMismatch(
-                f"input_matrix has {mat.shape[0]} rows for width {diag.size}"
-            )
+        diag = _array(self.state_diag, "state_diag", 1)
+        mat = _array(self.input_matrix, "input_matrix", 2, len(diag))
         object.__setattr__(self, "state_diag", diag)
         object.__setattr__(self, "input_matrix", mat)
 
@@ -159,32 +168,10 @@ class DeepLinearSSM:
     read_out: np.ndarray
 
     def __post_init__(self):
-        layers = tuple(self.layers)
-        if not layers:
-            raise ShapeMismatch("a model needs at least one layer")
-        m = layers[0].width
-        if layers[0].input_matrix.shape[1] != 1:
-            raise ShapeMismatch(
-                "first layer input_matrix must have one column, got "
-                f"{layers[0].input_matrix.shape}"
-            )
-        for i, layer in enumerate(layers[1:], start=2):
-            if layer.width != m:
-                raise WidthMismatch(
-                    f"layer {i} has width {layer.width}, expected {m}"
-                )
-            if layer.input_matrix.shape != (m, m):
-                raise WidthMismatch(
-                    f"layer {i} input_matrix has shape {layer.input_matrix.shape}, "
-                    f"expected ({m}, {m})"
-                )
-        out = _freeze(np.atleast_1d(self.read_out))
-        if out.ndim != 1 or out.size != m:
-            raise WidthMismatch(
-                f"read_out has shape {out.shape}, expected ({m},)"
-            )
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "read_out", out)
+        object.__setattr__(self, "layers", tuple(self.layers))
+        # Each layer checked its own arrays; only their shapes are checked here.
+        m = _check_stack(*_stack(self))
+        object.__setattr__(self, "read_out", _array(self.read_out, "read_out", 1, m))
 
     @property
     def width(self) -> int:
@@ -214,19 +201,10 @@ class ShallowRealization:
     read_out: np.ndarray
 
     def __post_init__(self):
-        eig = _freeze(np.atleast_1d(self.eigenvalues))
-        bin_ = _freeze(np.atleast_1d(self.read_in))
-        bout = _freeze(np.atleast_1d(self.read_out))
-        if eig.ndim != 1:
-            raise ShapeMismatch("eigenvalues must be a vector")
-        if bin_.shape != eig.shape or bout.shape != eig.shape:
-            raise WidthMismatch(
-                "eigenvalues, read_in and read_out must share one length, got "
-                f"{eig.shape}, {bin_.shape}, {bout.shape}"
-            )
+        eig = _array(self.eigenvalues, "eigenvalues", 1)
         object.__setattr__(self, "eigenvalues", eig)
-        object.__setattr__(self, "read_in", bin_)
-        object.__setattr__(self, "read_out", bout)
+        object.__setattr__(self, "read_in", _array(self.read_in, "read_in", 1, len(eig)))
+        object.__setattr__(self, "read_out", _array(self.read_out, "read_out", 1, len(eig)))
 
     @property
     def mode_count(self) -> int:
@@ -267,10 +245,7 @@ class ConvolutionKernel:
     taps: np.ndarray
 
     def __post_init__(self):
-        taps = _freeze(np.atleast_1d(self.taps))
-        if taps.ndim != 1 or taps.size == 0:
-            raise ShapeMismatch(f"taps must be a non-empty vector, got {taps.shape}")
-        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "taps", _array(self.taps, "taps", 1))
 
     @property
     def horizon(self) -> int:
@@ -286,23 +261,11 @@ class DenseSSM:
     read_out: np.ndarray
 
     def __post_init__(self):
-        mat = _freeze(np.atleast_2d(self.state_matrix))
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ShapeMismatch(f"state_matrix must be square, got {mat.shape}")
-        bin_ = np.asarray(self.read_in)
-        if bin_.ndim == 2 and bin_.shape[1] == 1:
-            bin_ = bin_[:, 0]
-        bin_ = _freeze(np.atleast_1d(bin_))
-        bout = _freeze(np.atleast_1d(self.read_out))
-        n = mat.shape[0]
-        if bin_.shape != (n,) or bout.shape != (n,):
-            raise WidthMismatch(
-                f"read_in/read_out must have shape ({n},), got "
-                f"{bin_.shape} and {bout.shape}"
-            )
-        object.__setattr__(self, "state_matrix", mat)
-        object.__setattr__(self, "read_in", bin_)
-        object.__setattr__(self, "read_out", bout)
+        # Valid exactly when its one-layer dense stack is; read_in may be a column.
+        deep = DenseDeepSSM((self.state_matrix,), (self.read_in,), self.read_out)
+        object.__setattr__(self, "state_matrix", deep.state_matrices[0])
+        object.__setattr__(self, "read_in", deep.input_matrices[0][:, 0])
+        object.__setattr__(self, "read_out", deep.read_out)
 
     @property
     def width(self) -> int:
@@ -325,35 +288,18 @@ class DenseDeepSSM:
     read_out: np.ndarray
 
     def __post_init__(self):
-        states = tuple(_freeze(np.atleast_2d(a)) for a in self.state_matrices)
-        inputs = []
-        for mat in self.input_matrices:
-            arr = np.asarray(mat)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            inputs.append(_freeze(arr))
-        inputs = tuple(inputs)
-        if not states or len(states) != len(inputs):
-            raise ShapeMismatch(
-                "state_matrices and input_matrices must be equally long and non-empty"
-            )
-        m = states[0].shape[0]
-        for i, a in enumerate(states, start=1):
-            if a.shape != (m, m):
-                raise WidthMismatch(f"layer {i} state matrix has shape {a.shape}")
-        if inputs[0].shape != (m, 1):
-            raise ShapeMismatch(
-                f"first input matrix must be ({m}, 1), got {inputs[0].shape}"
-            )
-        for i, b in enumerate(inputs[1:], start=2):
-            if b.shape != (m, m):
-                raise WidthMismatch(f"layer {i} input matrix has shape {b.shape}")
-        out = _freeze(np.atleast_1d(self.read_out))
-        if out.shape != (m,):
-            raise WidthMismatch(f"read_out has shape {out.shape}, expected ({m},)")
+        states = tuple(
+            _array(a, f"layer {i} state matrix", 2, square=True)
+            for i, a in enumerate(self.state_matrices, start=1)
+        )
+        inputs = tuple(
+            _array(b, f"layer {i} input matrix", 2)
+            for i, b in enumerate(self.input_matrices, start=1)
+        )
+        m = _check_stack(states, inputs)
         object.__setattr__(self, "state_matrices", states)
         object.__setattr__(self, "input_matrices", inputs)
-        object.__setattr__(self, "read_out", out)
+        object.__setattr__(self, "read_out", _array(self.read_out, "read_out", 1, m))
 
     @property
     def width(self) -> int:
@@ -467,11 +413,7 @@ def simulate(model: DeepLinearSSM, inputs, *, strict_stability: bool = False) ->
     ``strict_stability`` a spectral radius >= 1 raises
     :class:`UnstableModel`; otherwise it only warns.
     """
-    x = np.atleast_1d(np.asarray(inputs, dtype=complex))
-    if x.ndim != 1:
-        raise ShapeMismatch(f"inputs must be a scalar sequence, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("inputs contain non-finite entries")
+    x = _array(inputs, "inputs", 1)
     _stability_gate(model.spectral_radius(), strict_stability)
     return _response(*_stack(model), model.read_out, x[:, None])
 

@@ -5,7 +5,8 @@ malformed requests (shapes, horizons, domains), :class:`NumericalError`
 covers inputs that are well formed but numerically unusable (coincident
 eigenvalues, defective matrices, diverging optimization).  The command
 line maps the first family to exit code 2 and the second to exit code 3.
-Every scalar argument of a public entry point is checked by :func:`_checked`.
+Every scalar argument of a public entry point is checked by :func:`_checked`,
+every array argument by :func:`deepssm.symfun._array`.
 """
 
 import math

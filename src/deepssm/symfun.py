@@ -14,11 +14,15 @@ rewrites a prefix family of such polynomials as a plain exponential sum:
 * :func:`telescope_coefficients` produces weights ``H`` with
   ``sum_k H[k] * F_t(beta[:k+1]) == sum_j Z[j] * beta[j]**t`` for all
   ``t >= 0``, where ``F_t`` is the degree-``t`` homogeneous sum.
+
+Every array argument in the package, these functions' vectors and every
+model type's arrays, is checked by one rule, :func:`_array`.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Number
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .errors import (
     DomainError,
     ShapeMismatch,
     UnsortedInput,
+    WidthMismatch,
     ZeroEigenvalue,
     _checked,
 )
@@ -45,14 +50,40 @@ __all__ = [
 DISTINCTNESS_RTOL = 1e-10
 
 
-def _as_complex_vector(values, name: str = "values") -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=complex))
-    if arr.ndim != 1:
-        raise ShapeMismatch(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ShapeMismatch(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} contains non-finite entries")
+def _array(value, name: str, rank: int, rows: int | None = None, *, square=False) -> np.ndarray:
+    """``value`` as a new read-only complex array of rank ``rank`` (1 or 2).
+
+    A value of lower rank gains trailing axes of length 1: a scalar stands
+    for a length-1 vector or a 1 x 1 matrix, and a vector for a column.  A
+    value that is not a rectangular nest of numbers (bools, strings and
+    None are not numbers) raises :class:`ShapeMismatch`; then a non-finite
+    entry raises :class:`DomainError`; then the wrong rank, an empty array
+    or, with ``square``, a non-square matrix raises :class:`ShapeMismatch`;
+    and a length or row count other than ``rows`` raises
+    :class:`WidthMismatch`.
+    """
+    try:
+        arr = np.asarray(value)
+        # Not bools, strings or dates, nor None, which numpy would make nan.
+        kind = arr.dtype.kind
+        if not (kind in "iufc" or kind == "O" and all(isinstance(v, Number) for v in arr.flat)):
+            raise TypeError
+        arr = arr.astype(complex)
+    except (TypeError, ValueError):
+        raise ShapeMismatch(f"{name} must be a rectangular array of numbers") from None
+    except OverflowError as exc:
+        raise DomainError(f"{name} has an entry that does not fit a float: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite")
+    if arr.ndim < rank:
+        arr = arr.reshape(arr.shape + (1,) * (rank - arr.ndim))
+    if arr.ndim != rank or not arr.size or (square and arr.shape[0] != arr.shape[1]):
+        what = "square matrix" if square else ("vector", "matrix")[rank - 1]
+        raise ShapeMismatch(f"{name} must be a non-empty {what}, got shape {arr.shape}")
+    if rows is not None and len(arr) != rows:
+        what = ("entries", "rows")[rank - 1]
+        raise WidthMismatch(f"{name} has {len(arr)} {what} for width {rows}")
+    arr.setflags(write=False)
     return arr
 
 
@@ -63,7 +94,7 @@ def coincident_pairs(values, rtol: float = DISTINCTNESS_RTOL) -> list[tuple[int,
     so values near zero are compared on an absolute scale.
     """
     _checked("rtol", rtol, float, low=0)
-    arr = _as_complex_vector(values)
+    arr = _array(values, "values", 1)
     diff = np.abs(arr[:, None] - arr[None, :])
     scale = np.maximum(np.maximum(np.abs(arr)[:, None], np.abs(arr)[None, :]), 1.0)
     hits = np.argwhere(diff <= rtol * scale)
@@ -81,7 +112,7 @@ def homogeneous_sum(alphas, k: int) -> complex:
     which involves no divisions and therefore tolerates repeated and zero
     arguments exactly.
     """
-    arr = _as_complex_vector(alphas, "alphas")
+    arr = _array(alphas, "alphas", 1)
     _checked("k", k, int, low=0)
     table = np.zeros(k + 1, dtype=complex)
     table[0] = 1.0
@@ -213,7 +244,7 @@ def f_rational(alphas, k: int) -> complex:
     approach each other.  Raises :class:`DegenerateEigenvalues` when any
     pair falls inside :data:`DISTINCTNESS_RTOL`.
     """
-    arr = _as_complex_vector(alphas, "alphas")
+    arr = _array(alphas, "alphas", 1)
     _checked("k", k, int, low=0)
     clashes = coincident_pairs(arr)
     if clashes:
@@ -249,8 +280,8 @@ def telescope_coefficients(betas, zs) -> np.ndarray:
     moduli near zero neither underflow nor overflow, and a zero weight adds
     exactly zero.
     """
-    b = _as_complex_vector(betas, "betas")
-    z = _as_complex_vector(zs, "zs")
+    b = _array(betas, "betas", 1)
+    z = _array(zs, "zs", 1)
     if b.size != z.size:
         raise ShapeMismatch(f"betas and zs lengths differ: {b.size} vs {z.size}")
     if np.any(b == 0):

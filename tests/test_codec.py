@@ -272,7 +272,7 @@ def test_json_writer_is_json_dumps(tmp_path_factory, data):
 
 
 def test_wide_model_json_bytes(tmp_path):
-    # The benchmark's width: 101 pairs per row, formatted in one step each.
+    # The benchmark's width: rows of 101 pairs, formatted from the model's complex arrays.
     model = special_model(np.random.default_rng(101), 2, 101)
     d.save_model(model, tmp_path / "wide.json")
     assert (tmp_path / "wide.json").read_text() == entrywise_model_json(model)
