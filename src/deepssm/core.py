@@ -22,8 +22,13 @@ stepping and must agree to rounding; tests lean on that.
 
 One engine, :func:`_layer_blocks`, runs every recurrence in the package.
 Layers couple only within a time step, so each layer is a first-order scan
-over time: per block of ``_BLOCK`` steps, seeded with the last state of the
-block before, it doubles ``h[k:] += A^k h[:-k]`` for k = 1, 2, 4, ...
+over time, run per block of ``_BLOCK`` steps seeded with the last state of
+the block before.  :func:`_scan` is the work-efficient prefix scan
+(Blelloch 1990): while more than ``_DOUBLING_ROWS`` rows remain it pairs
+them, ``h[1::2] += A h[:-1:2]``, scans the odd rows with A^2 and fills in
+the even ones, ``h[2::2] += A h[1:-1:2]``; the last few rows double,
+``h[k:] += A^k h[:-k]`` for k = 1, 2, 4, ...  That is about two row
+updates per step, where doubling alone makes log2 of the block.
 Where a power up to half a block could overflow, the block is shorter, so
 every power used is finite, the products are plain ones, and no state
 overflows before it does step by step.
@@ -34,8 +39,9 @@ one rule for the package: not a rectangular nest of numbers, the wrong
 rank, empty or a non-square state matrix is :class:`ShapeMismatch`, a
 non-finite entry :class:`DomainError`, and a length or row count off the
 model's width :class:`WidthMismatch`.  :class:`DenseSSM` is valid exactly
-when its one-layer :class:`DenseDeepSSM` is, and :class:`DeepLinearSSM`
-checks only the shapes of layers that checked their own arrays.
+when its one-layer :class:`DenseDeepSSM` is, but its refusals name its own
+fields, and :class:`DeepLinearSSM` checks only the shapes of layers that
+checked their own arrays.
 
 Every file format lives in one codec at the end of this module.
 A complex array of any rank is written as nested ``[re, im]`` pairs
@@ -261,11 +267,14 @@ class DenseSSM:
     read_out: np.ndarray
 
     def __post_init__(self):
-        # Valid exactly when its one-layer dense stack is; read_in may be a column.
-        deep = DenseDeepSSM((self.state_matrix,), (self.read_in,), self.read_out)
-        object.__setattr__(self, "state_matrix", deep.state_matrices[0])
-        object.__setattr__(self, "read_in", deep.input_matrices[0][:, 0])
-        object.__setattr__(self, "read_out", deep.read_out)
+        # The rule of its one-layer dense stack, naming its own fields.
+        state = _array(self.state_matrix, "state_matrix", 2, square=True)
+        column = _array(self.read_in, "read_in", 2)  # a vector stands for a column
+        if column.shape[1] != 1:
+            raise ShapeMismatch(f"read_in must be a vector or a column, got shape {column.shape}")
+        object.__setattr__(self, "state_matrix", state)
+        object.__setattr__(self, "read_in", _array(column[:, 0], "read_in", 1, len(state)))
+        object.__setattr__(self, "read_out", _array(self.read_out, "read_out", 1, len(state)))
 
     @property
     def width(self) -> int:
@@ -353,6 +362,28 @@ def _stability_gate(radius: float, strict: bool) -> None:
 
 #: Time steps per block of the recurrence engine, :func:`_layer_blocks`.
 _BLOCK = 1024
+#: Rows the engine scans by doubling; :func:`_scan` pairs longer runs first.
+_DOUBLING_ROWS = 64
+
+
+def _scan(h: np.ndarray, a: np.ndarray, times) -> None:
+    """Turn the rows of ``h`` into ``h[t] = a h[t-1] + h[t]``, in place.
+
+    ``times(rows, a.T)`` applies ``a`` to each row.  Up to ``_DOUBLING_ROWS``
+    rows, ``h[k:] += a^k h[:-k]`` for k = 1, 2, 4, ...; more rows are paired,
+    the odd rows scanned with a^2, and the even rows filled in from them.
+    Either way every power used is a^j for a power of two j < len(h).
+    """
+    if len(h) > _DOUBLING_ROWS:
+        h[1::2] += times(h[:-1:2], a.T)
+        _scan(h[1::2], times(a.T, a.T).T, times)
+        h[2::2] += times(h[1:-1:2], a.T)
+        return
+    # After offset k, h[t] sums a^j h[t - j], j < 2k.
+    power, k = a, 1
+    while k < len(h):
+        h[k:] += times(h[:-k], power.T)
+        power, k = times(power.T, power.T).T, 2 * k
 
 
 def _layer_blocks(states, mixes, drive: np.ndarray):
@@ -360,10 +391,11 @@ def _layer_blocks(states, mixes, drive: np.ndarray):
 
     ``states`` holds each A_i (diagonal or dense) and ``mixes`` each B_i.
     Yields ``(i, rows, h)`` block by block: layer i's states on steps ``rows``.
-    A block forms A_i's powers up to half its length, so it is halved until
-    they stay finite at the largest |A_i| (absolute row sum, if dense).  So
-    the products need no mask: no exact zero of a state meets an
-    overflowed power.
+    Each block is one :func:`_scan`, seeded with the last state of the block
+    before.  The scan forms A_i's powers up to half the block's length, so
+    the block is halved until they stay finite at the largest |A_i|
+    (absolute row sum, if dense).  So the products need no mask: no exact
+    zero of a state meets an overflowed power.
     """
     mags = np.abs(states)  # (depth, m) diagonals or (depth, m, m) dense matrices
     growth = (mags if mags.ndim == 2 else mags.sum(axis=-1)).max()
@@ -382,11 +414,7 @@ def _layer_blocks(states, mixes, drive: np.ndarray):
             with np.errstate(over="ignore", invalid="ignore"):
                 h = h @ mix.T
                 h[0] += times(carries[i], a.T)
-                # After offset k, h[t] sums a^j (B_i h_{i-1})[t - j], j < 2k.
-                power, k = a, 1
-                while k < len(h):
-                    h[k:] += times(h[:-k], power.T)
-                    power, k = times(power.T, power.T).T, 2 * k
+                _scan(h, a, times)
             carries[i] = h[-1]
             yield i, rows, h
 

@@ -4,10 +4,12 @@ import csv
 import io
 import itertools
 import json
+import sys
 
 import numpy as np
 
 import deepssm as d
+from deepssm.core import _BLOCK
 
 
 def rel_err(a, b) -> float:
@@ -142,6 +144,35 @@ def sequential_response(states, mixes, read_out, inputs):
         out[t] = read_out @ below
     return out
 
+
+def doubling_layer_blocks(states, mixes, drive):
+    """The recurrence engine before its pairing scan, kept as a bit-level oracle.
+
+    Same blocks, carries and overflow rule as :func:`deepssm.core._layer_blocks`,
+    but every block is scanned by doubling alone, ``h[k:] += A^k h[:-k]`` for
+    k = 1, 2, 4, ...; on blocks of ``_DOUBLING_ROWS`` rows or fewer the engine
+    must agree with it bit for bit.
+    """
+    mags = np.abs(states)
+    growth = (mags if mags.ndim == 2 else mags.sum(axis=-1)).max()
+    block = _BLOCK
+    while block > 2 and growth >= sys.float_info.max ** (2 / block):
+        block //= 2
+    carries = [np.zeros(len(a), dtype=complex) for a in states]
+    for start in range(0, len(drive), block):
+        rows = slice(start, start + block)
+        h = drive[rows]
+        for i, (a, mix) in enumerate(zip(states, mixes)):
+            times = np.multiply if a.ndim == 1 else np.matmul
+            with np.errstate(over="ignore", invalid="ignore"):
+                h = h @ mix.T
+                h[0] += times(carries[i], a.T)
+                power, k = a, 1
+                while k < len(h):
+                    h[k:] += times(h[:-k], power.T)
+                    power, k = times(power.T, power.T).T, 2 * k
+            carries[i] = h[-1]
+            yield i, rows, h
 
 
 def path_sum_expansion(model):

@@ -172,6 +172,24 @@ STRUCTURE = [
 ]
 
 
+# DenseSSM applies its one-layer dense stack's rule, but each refusal names
+# the DenseSSM field at fault, not a layer of that stack.
+DENSE_SSM_MESSAGES = [
+    pytest.param({**good, name: value}, error, name, id=f"{name}-{case}")
+    for label, _, good, arrays in ENTRY_POINTS
+    if label == "DenseSSM"
+    for name, (rank, width) in arrays.items()
+    for case, value, error in bad_values(good[name], rank, width)
+] + [
+    pytest.param(
+        {"state_matrix": A1, "read_in": B2, "read_out": [1.0, 1.0]},
+        d.ShapeMismatch,
+        "read_in",
+        id="read_in-two-columns",
+    )
+]
+
+
 @pytest.mark.parametrize(
     "call, good", [e[1:3] for e in ENTRY_POINTS], ids=[e[0] for e in ENTRY_POINTS]
 )
@@ -190,6 +208,15 @@ def test_bad_array_is_refused_by_class(call, kwargs, error):
 def test_bad_layer_structure_is_refused_by_class(call, error):
     with pytest.raises(error) as caught:
         call()
+    assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("kwargs, error, name", DENSE_SSM_MESSAGES)
+def test_dense_ssm_refusals_name_its_fields(kwargs, error, name):
+    # A wider state matrix sets a width that read_in then misses.
+    named = "read_in" if (name, error) == ("state_matrix", d.WidthMismatch) else name
+    with pytest.raises(error, match=rf"^{named} ") as caught:
+        d.DenseSSM(**kwargs)
     assert type(caught.value) is error
 
 

@@ -9,6 +9,7 @@ import deepssm as d
 from conftest import (
     convolve,
     distinct_model,
+    doubling_layer_blocks,
     parse_kernel_csv,
     path_sum_kernel,
     random_model,
@@ -16,7 +17,7 @@ from conftest import (
     rel_err,
     sequential_response,
 )
-from deepssm.core import _BLOCK
+from deepssm.core import _BLOCK, _layer_blocks, _stack
 
 
 def worked_two_layer_example():
@@ -452,8 +453,12 @@ def random_dense_deep(rng, depth, width):
 class TestEngineAgainstOracle:
     """Every engine entry point against the step-by-step recurrence."""
 
-    @pytest.mark.parametrize("horizon", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize(
+        "horizon",
+        [1, 64, 65, 127, 128, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 3 * _BLOCK + 5],
+    )
     def test_block_edges(self, horizon):
+        # Also the pairing edges: a block of more than _DOUBLING_ROWS rows is paired.
         rng = d.seeded_rng(60, horizon)
         model = random_model(rng, 3, 3)
         stack = ([x.state_diag for x in model.layers], [x.input_matrix for x in model.layers])
@@ -540,6 +545,28 @@ class TestEngineAgainstOracle:
         dense = d.DenseSSM(np.diag(states[0]), mixes[0], read_out)
         with pytest.raises(d.NumericalError, match="kernel tap 871 overflowed"):
             dense.kernel(horizon)
+
+    @pytest.mark.parametrize("horizon", range(1, 65))
+    def test_short_horizons_keep_the_doubling_bits(self, horizon, monkeypatch):
+        # Training runs at horizon 64 and must keep every bit it had before
+        # the pairing scan: forward on diagonal and dense stacks, then the
+        # adjoint through kernel_gradient.
+        rng = d.seeded_rng(63, horizon)
+        model = random_model(rng, 3, 4)
+        deep = random_dense_deep(rng, 2, 3)
+        drive = rng.standard_normal((horizon, 1)) + 1j * rng.standard_normal((horizon, 1))
+        for stack in (_stack(model), (deep.state_matrices, deep.input_matrices)):
+            got = [h.tobytes() for _, _, h in _layer_blocks(*stack, drive)]
+            assert got == [h.tobytes() for _, _, h in doubling_layer_blocks(*stack, drive)]
+        target = d.ConvolutionKernel(rng.standard_normal(horizon) + 1j)
+        runs = []
+        for engine in (_layer_blocks, doubling_layer_blocks):
+            monkeypatch.setattr(d.core, "_layer_blocks", engine)
+            monkeypatch.setattr(d.fit, "_layer_blocks", engine)
+            grad = d.kernel_gradient(model, target)
+            blocks = [*grad.state_diags, *grad.input_matrices, grad.read_out]
+            runs.append([d.kernel_loss(model, target), *(b.tobytes() for b in blocks)])
+        assert runs[0] == runs[1]
 
 
 def test_package_names_are_the_modules_names():

@@ -182,6 +182,15 @@ class TestKernelGradient:
         want = gradient_as_vector(finite_difference_gradient(model, target))
         assert rel_err(got, want) < 1e-6
 
+    def test_matches_finite_differences_across_a_pairing_level(self):
+        # 129 rows pair down to 64 and fill back, forwards and in the adjoint.
+        rng = d.seeded_rng(50)
+        model = random_model(rng, 2, 2)
+        target = d.ConvolutionKernel(rng.standard_normal(129) + 1j * rng.standard_normal(129))
+        got = gradient_as_vector(d.kernel_gradient(model, target))
+        want = gradient_as_vector(finite_difference_gradient(model, target))
+        assert rel_err(got, want) < 1e-6
+
     def test_zero_at_planted_minimum(self):
         model = random_model(d.seeded_rng(42), 2, 2)
         target = d.kernel_by_simulation(model, 24)
