@@ -32,7 +32,9 @@ updates per step, where doubling alone makes log2 of the block.
 Where a power up to half a block could overflow, the block is shorter, so
 every power used is finite, the products are plain ones, and no state
 overflows before it does step by step.
-Scratch memory is a few ``(_BLOCK, width)`` arrays, whatever the horizon.
+Scratch memory is three ``(_BLOCK, width)`` buffers, allocated once per run
+and reused by every layer and block, whatever the depth and horizon; so a
+state block the engine yields is valid only until it yields the next.
 
 Every array of every model type is built by :func:`~deepssm.symfun._array`,
 one rule for the package: not a rectangular nest of numbers, the wrong
@@ -51,13 +53,15 @@ nest of int or float pairs, through one flat float buffer.  One JSON writer
 (exactly ``json.dumps(indent=2)``; to a file replaced atomically or to
 stdout) and one CSV formatter write every file.  The writer takes complex
 arrays as they are and formats a vector or matrix from its floats, with one
-shared string for every ``+0.0`` pair.  Floats are written as their
+shared string for every ``+0.0`` pair; it streams the text, one array at a
+time.  Floats are written as their
 shortest round-trip decimal and read back through a float-to-complex view,
 so round trips are bit-for-bit, signed zeros included.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -366,23 +370,26 @@ _BLOCK = 1024
 _DOUBLING_ROWS = 64
 
 
-def _scan(h: np.ndarray, a: np.ndarray, times) -> None:
+def _scan(h: np.ndarray, a: np.ndarray, times, spare: np.ndarray) -> None:
     """Turn the rows of ``h`` into ``h[t] = a h[t-1] + h[t]``, in place.
 
-    ``times(rows, a.T)`` applies ``a`` to each row.  Up to ``_DOUBLING_ROWS``
-    rows, ``h[k:] += a^k h[:-k]`` for k = 1, 2, 4, ...; more rows are paired,
-    the odd rows scanned with a^2, and the even rows filled in from them.
-    Either way every power used is a^j for a power of two j < len(h).
+    ``times(rows, a.T, out=)`` applies ``a`` to each row; every such product
+    goes to the leading rows of ``spare``, which has at least ``len(h)``.  Up
+    to ``_DOUBLING_ROWS`` rows, ``h[k:] += a^k h[:-k]`` for k = 1, 2, 4, ...;
+    more rows are paired, the odd rows scanned with a^2, and the even rows
+    filled in from them.  Either way every power used is a^j for a power of
+    two j < len(h).
     """
-    if len(h) > _DOUBLING_ROWS:
-        h[1::2] += times(h[:-1:2], a.T)
-        _scan(h[1::2], times(a.T, a.T).T, times)
-        h[2::2] += times(h[1:-1:2], a.T)
+    rows = len(h)
+    if rows > _DOUBLING_ROWS:
+        h[1::2] += times(h[:-1:2], a.T, out=spare[: rows // 2])
+        _scan(h[1::2], times(a.T, a.T).T, times, spare)
+        h[2::2] += times(h[1:-1:2], a.T, out=spare[: (rows - 1) // 2])
         return
     # After offset k, h[t] sums a^j h[t - j], j < 2k.
     power, k = a, 1
-    while k < len(h):
-        h[k:] += times(h[:-k], power.T)
+    while k < rows:
+        h[k:] += times(h[:-k], power.T, out=spare[: rows - k])
         power, k = times(power.T, power.T).T, 2 * k
 
 
@@ -396,13 +403,19 @@ def _layer_blocks(states, mixes, drive: np.ndarray):
     the block is halved until they stay finite at the largest |A_i|
     (absolute row sum, if dense).  So the products need no mask: no exact
     zero of a state meets an overflowed power.
+
+    Layers write their states into two ``(block, m)`` buffers in turn and the
+    scan its products into a third, all three allocated once per call, so a
+    yielded ``h`` is valid only until the next iteration: keep a copy.
     """
     mags = np.abs(states)  # (depth, m) diagonals or (depth, m, m) dense matrices
     growth = (mags if mags.ndim == 2 else mags.sum(axis=-1)).max()
     block = _BLOCK
     while block > 2 and growth >= sys.float_info.max ** (2 / block):
         block //= 2
-    carries = [np.zeros(len(a), dtype=complex) for a in states]
+    m = len(states[0])
+    buffers = np.empty((3, min(block, len(drive)), m), dtype=complex)
+    carries = np.zeros((len(states), m), dtype=complex)
     for start in range(0, len(drive), block):
         rows = slice(start, start + block)
         h = drive[rows]
@@ -412,9 +425,9 @@ def _layer_blocks(states, mixes, drive: np.ndarray):
             # The state may overflow as it does step by step, and so may the
             # square of the last power, which no step uses.
             with np.errstate(over="ignore", invalid="ignore"):
-                h = h @ mix.T
+                h = np.matmul(h, mix.T, out=buffers[i % 2, : len(h)])
                 h[0] += times(carries[i], a.T)
-                _scan(h, a, times)
+                _scan(h, a, times, buffers[2])
             carries[i] = h[-1]
             yield i, rows, h
 
@@ -602,41 +615,48 @@ def _array_text(arr: np.ndarray, pad: str) -> str:
     return vectors[0] if arr.ndim == 1 else "[" + rows + ("," + rows).join(vectors) + pad + "]"
 
 
-def _json_text(obj, pad: str = "\n") -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, nested at the line start ``pad``,
-    with a complex ``ndarray`` written as its :func:`_pairs`.
+def _json_chunks(obj, pad: str = "\n"):
+    """Yield pieces that join to exactly ``json.dumps(obj, indent=2)``, nested
+    at the line start ``pad``, with a complex ``ndarray`` written as its
+    :func:`_pairs`.
 
-    Finite, non-empty vectors and matrices go to :func:`_array_text`.  Other
-    arrays (after :func:`_pairs`), scalars, empty containers and dicts with a
-    non-string key are left to ``json.dumps``, which writes ``NaN`` and
-    ``Infinity``.
+    Finite, non-empty vectors and matrices are one :func:`_array_text` piece
+    each.  Other arrays (after :func:`_pairs`), scalars, empty containers and
+    dicts with a non-string key are one ``json.dumps`` piece, which writes
+    ``NaN`` and ``Infinity``.
     """
     inner = pad + "  "
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj) and obj.ndim in (1, 2) and obj.size and np.isfinite(obj).all():
-            return _array_text(obj, pad)
+            yield _array_text(obj, pad)
+            return
         obj = _pairs(obj)
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
-        items = (json.dumps(key) + ": " + _json_text(value, inner) for key, value in obj.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + pad + "]"
-    return json.dumps(obj, indent=2).replace("\n", pad)
+        for k, (key, value) in enumerate(obj.items()):
+            yield ("," if k else "{") + inner + json.dumps(key) + ": "
+            yield from _json_chunks(value, inner)
+        yield pad + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        for k, value in enumerate(obj):
+            yield ("," if k else "[") + inner
+            yield from _json_chunks(value, inner)
+        yield pad + "]"
+    else:
+        yield json.dumps(obj, indent=2).replace("\n", pad)
 
 
 def _write_json(data, path) -> None:
     """Write ``data`` (a dict, or a dataclass by its fields) as indented JSON.
 
     The file at ``path`` is replaced atomically; with ``path`` None the JSON
-    goes to stdout.
+    goes to stdout.  Either way it is written piece by piece, so no more than
+    one array's text is held at a time.
     """
     if is_dataclass(data):
         data = asdict(data)
-    text = _json_text(data) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        atomic_write_text(path, text)
+    with (contextlib.nullcontext(sys.stdout) if path is None else _replacing(path)) as handle:
+        handle.writelines(_json_chunks(data))
+        handle.write("\n")
 
 
 def _csv_text(header: str, rows) -> str:
@@ -682,19 +702,27 @@ def model_from_json_dict(data) -> DeepLinearSSM:
     return DeepLinearSSM(tuple(layers), _complex_array(data["read_out"], 1))
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see halves."""
+@contextlib.contextmanager
+def _replacing(path):
+    """A text handle on a sibling temp file that replaces ``path`` once the
+    block ends without error, so readers never see halves."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write via a sibling temp file and rename, so readers never see halves."""
+    with _replacing(path) as handle:
+        handle.write(text)
 
 
 def _read_json(path):

@@ -91,14 +91,32 @@ def coincident_pairs(values, rtol: float = DISTINCTNESS_RTOL) -> list[tuple[int,
     """Index pairs ``(i, j)``, ``i < j``, closer than the relative tolerance.
 
     The separation test is ``|v[i] - v[j]| <= rtol * max(|v[i]|, |v[j]|, 1)``,
-    so values near zero are compared on an absolute scale.
+    so values near zero are compared on an absolute scale.  Pairs come in
+    row-major order, so the first is the one with the smallest ``i``, then ``j``.
+
+    A clash needs real parts within ``rtol * max(max |v|, 1)``, so only pairs
+    inside that window of the values sorted by real part are tested: O(K log K
+    + C) time and O(K + C) memory for K values and C candidate pairs.
     """
     _checked("rtol", rtol, float, low=0)
     arr = _array(values, "values", 1)
-    diff = np.abs(arr[:, None] - arr[None, :])
-    scale = np.maximum(np.maximum(np.abs(arr)[:, None], np.abs(arr)[None, :]), 1.0)
-    hits = np.argwhere(diff <= rtol * scale)
-    return [(int(i), int(j)) for i, j in hits if i < j]
+    mags = np.abs(arr)
+    # Widened past the rounding of the test's bound, of |v[i] - v[j]| and of
+    # the search's sum, so every clash is a candidate; the test decides.
+    eps = np.finfo(float).eps
+    window = (rtol + eps) * max(float(mags.max()), 1.0) * (1 + 4 * eps)
+    order = np.argsort(arr.real, kind="stable")
+    reals = arr.real[order]
+    counts = np.searchsorted(reals, reals + window, side="right") - np.arange(1, arr.size + 1)
+    # Candidate k pairs sorted position first[k] with the one offset[k] later.
+    first = np.repeat(np.arange(arr.size), counts)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    i, j = order[first], order[first + offset]
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    hit = np.abs(arr[i] - arr[j]) <= rtol * np.maximum(np.maximum(mags[i], mags[j]), 1.0)
+    i, j = i[hit], j[hit]
+    rank = np.lexsort((j, i))
+    return list(zip(i[rank].tolist(), j[rank].tolist()))
 
 
 def homogeneous_sum(alphas, k: int) -> complex:

@@ -128,21 +128,41 @@ def load_kernel_csv(path):
         return parse_kernel_csv(handle.read())
 
 
-def sequential_response(states, mixes, read_out, inputs):
+def sequential_states(states, mixes, inputs):
     """Step-by-step reference for h_i(t) = A_i h_i(t-1) + B_i h_{i-1}(t).
 
     Each A_i in ``states`` is diagonal (a vector) or dense (a matrix); h_0 is
-    the scalar input.  Returns the read-out ``C^T h_l(t)`` for every step.
+    the scalar input.  Returns every layer's ``(T, m)`` states.
     """
     hs = [np.zeros(len(a), dtype=complex) for a in states]
-    out = np.empty(len(inputs), dtype=complex)
+    out = [np.empty((len(inputs), len(a)), dtype=complex) for a in states]
     for t, x in enumerate(inputs):
         below = np.array([x], dtype=complex)
         for i, (a, b) in enumerate(zip(states, mixes)):
             hs[i] = (a * hs[i] if np.ndim(a) == 1 else a @ hs[i]) + b @ below
-            below = hs[i]
-        out[t] = read_out @ below
+            below = out[i][t] = hs[i]
     return out
+
+
+def sequential_response(states, mixes, read_out, inputs):
+    """The read-out ``C^T h_l(t)`` of :func:`sequential_states` for every step."""
+    return np.array([read_out @ h for h in sequential_states(states, mixes, inputs)[-1]])
+
+
+def sequential_layer_blocks(states, mixes, drive):
+    """:func:`sequential_states` as the engine yields them: one block per layer,
+    each a new array."""
+    for i, h in enumerate(sequential_states(states, mixes, drive[:, 0])):
+        yield i, slice(None), h
+
+
+def brute_coincident_pairs(values, rtol=d.DISTINCTNESS_RTOL):
+    """:func:`deepssm.coincident_pairs` by testing all K x K pairs, kept as its oracle."""
+    arr = np.asarray(values, dtype=complex)
+    diff = np.abs(arr[:, None] - arr[None, :])
+    scale = np.maximum(np.maximum(np.abs(arr)[:, None], np.abs(arr)[None, :]), 1.0)
+    hits = np.argwhere(diff <= rtol * scale)
+    return [(int(i), int(j)) for i, j in hits if i < j]
 
 
 def doubling_layer_blocks(states, mixes, drive):
@@ -189,7 +209,7 @@ def path_sum_expansion(model):
     flat_nonzero = [
         lambdas[i][j] for i in range(depth) for j in range(m) if lambdas[i][j] != 0
     ]
-    if flat_nonzero and d.coincident_pairs(np.array(flat_nonzero)):
+    if flat_nonzero and brute_coincident_pairs(flat_nonzero):
         raise d.ResonantEigenvalues("eigenvalues coincide across entries")
 
     first = mats[0][:, 0]

@@ -15,7 +15,9 @@ from conftest import (
     random_model,
     random_normal_dense,
     rel_err,
+    sequential_layer_blocks,
     sequential_response,
+    sequential_states,
 )
 from deepssm.core import _BLOCK, _layer_blocks, _stack
 
@@ -482,6 +484,28 @@ class TestEngineAgainstOracle:
             [dense.state_matrix], [dense.read_in[:, None]], dense.read_out, impulse
         )
         assert_matches_oracle(dense.kernel(horizon).taps, want)
+
+    def test_reused_buffers_across_blocks(self, monkeypatch):
+        # The engine writes every block into the same three buffers: states
+        # and carries kept without a copy would be overwritten by later layers
+        # and blocks.  Every layer's states over three blocks, and the gradient
+        # built from them and from the adjoint's, against the step-by-step ones.
+        rng = d.seeded_rng(64)
+        horizon = 2 * _BLOCK + 3
+        model = random_model(rng, 3, 3)
+        deep = random_dense_deep(rng, 3, 3)
+        drive = rng.standard_normal((horizon, 1)) + 1j * rng.standard_normal((horizon, 1))
+        for stack in (_stack(model), (deep.state_matrices, deep.input_matrices)):
+            want = sequential_states(*stack, drive[:, 0])
+            for got, layer in zip(d.fit._trajectories(*stack, drive), want, strict=True):
+                assert_matches_oracle(got, layer)
+        target = d.ConvolutionKernel(rng.standard_normal(horizon) + 1j)
+        grads = [d.kernel_gradient(model, target)]
+        monkeypatch.setattr(d.fit, "_layer_blocks", sequential_layer_blocks)
+        grads.append(d.kernel_gradient(model, target))
+        got, want = ([*g.state_diags, *g.input_matrices, g.read_out] for g in grads)
+        for block, oracle in zip(got, want, strict=True):
+            assert rel_err(block, oracle) <= 1e-12
 
     @pytest.mark.parametrize("a", [2.0, np.nextafter(4.0, 0.0), 4.0, 1e3])
     def test_unstable_channel_without_drive(self, a):

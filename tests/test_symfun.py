@@ -8,11 +8,17 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deepssm as d
-from conftest import homogeneous_sequence, recurrence_filter, rel_err, separated_complex
+from conftest import (
+    brute_coincident_pairs,
+    homogeneous_sequence,
+    recurrence_filter,
+    rel_err,
+    separated_complex,
+)
 
 
 def hom_oracle(values, k):
@@ -330,3 +336,73 @@ class TestCoincidentPairs:
         # Values near zero are compared on an absolute scale.
         assert d.coincident_pairs([0.0, 5e-11]) == [(0, 1)]
         assert d.coincident_pairs([0.0, 1e-9]) == []
+
+
+@st.composite
+def clash_prone_values(draw):
+    """Values and an ``rtol`` whose pairs sit on every edge of the separation
+    test: exact duplicates, gaps one ulp either side of ``rtol * scale`` along
+    either axis, shared real parts, values near zero (absolute scale) and
+    moduli from 1e-150 to 1e150."""
+    rtol = draw(st.sampled_from([0.0, d.DISTINCTNESS_RTOL, 1e-6, 0.5]))
+
+    def fresh():
+        mantissa = complex(draw(st.floats(-10, 10)), draw(st.floats(-10, 10)))
+        return mantissa * 10.0 ** draw(st.integers(-150, 150))
+
+    values = [fresh()]
+    for _ in range(draw(st.integers(0, 12))):
+        v = draw(st.sampled_from(values))
+        kind = draw(st.sampled_from(["fresh", "copy", "edge", "real", "tiny"]))
+        if kind == "fresh":
+            values.append(fresh())
+        elif kind == "copy":
+            values.append(v)
+        elif kind == "edge":
+            gap = np.nextafter(rtol * max(abs(v), 1.0), draw(st.sampled_from([0.0, np.inf])))
+            values.append(v + draw(st.sampled_from([1, -1, 1j, -1j])) * gap)
+        elif kind == "real":
+            values.append(complex(v.real, draw(st.floats(-1e3, 1e3))))
+        else:
+            values.append(complex(draw(st.floats(-1e-9, 1e-9)), draw(st.floats(-1e-9, 1e-9))))
+    return draw(st.permutations(values)), rtol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=clash_prone_values())
+@example(case=([1.0, 1.0 + 1e-10, 1.0 - 1e-10], d.DISTINCTNESS_RTOL))
+@example(case=([0.5, 0.3, 0.3j, 0.3, 0.5], 0.0))
+@example(case=([1e150, 0.0, 1e-150, -1e-150j, 1e-10], d.DISTINCTNESS_RTOL))
+# Shrunk: a window scaled by max |v| alone, not the absolute scale near zero.
+@example(case=([0j, 9.999999999999999e-11], d.DISTINCTNESS_RTOL))
+# Their difference rounds down onto the tolerance, but -8.28e-11 + 1e-10 rounds
+# below 1.72e-11: a window without margin misses the pair.
+@example(case=([-8.277025938204417e-11, 1.7229740617955833e-11], d.DISTINCTNESS_RTOL))
+def test_coincident_pairs_match_the_brute_force_oracle(case):
+    values, rtol = case
+    assert d.coincident_pairs(values, rtol) == brute_coincident_pairs(values, rtol)
+
+
+class TestFirstClash:
+    """The first clash named is the first pair in row-major order, which is
+    not the first by real part."""
+
+    def test_f_rational(self):
+        with pytest.raises(d.DegenerateEigenvalues) as info:
+            d.f_rational([0.5, 0.3, 0.3, 0.5], 2)
+        assert str(info.value) == "arguments 0 and 3 coincide within tolerance: (0.5+0j) vs (0.5+0j)"
+
+    def test_telescope_coefficients(self):
+        with pytest.raises(d.DegenerateEigenvalues) as info:
+            d.telescope_coefficients([0.5j, 0.5j, -0.6, -0.6], [1, 1, 1, 1])
+        assert str(info.value) == "betas 0 and 1 coincide within tolerance: 0.5j vs 0.5j"
+
+    def test_factorize(self):
+        # Sorted by modulus the modes are 0.3, 0.5, 0.5, -0.6, -0.6.
+        teacher = d.ShallowRealization([-0.6, 0.5, -0.6, 0.5, 0.3], np.ones(5), np.ones(5))
+        with pytest.raises(d.DegenerateEigenvalues) as info:
+            d.factorize(teacher, 2)
+        assert str(info.value) == (
+            "teacher modes 1 and 2 coincide within tolerance ((0.5+0j) vs (0.5+0j)); "
+            "allow_perturb=True jitters them apart"
+        )
