@@ -32,6 +32,10 @@ updates per step, where doubling alone makes log2 of the block.
 Where a power up to half a block could overflow, the block is shorter, so
 every power used is finite, the products are plain ones, and no state
 overflows before it does step by step.
+An input matrix that is diagonal but for a few dense rows, as every layer
+past the first of a factorized student is, is applied as a diagonal plus
+those rows (:func:`_diagonal_rows`): O(m (k + 1)) per step for k rows, not
+O(m^2), unless the block's input overflowed.
 Scratch memory is three ``(_BLOCK, width)`` buffers, allocated once per run
 and reused by every layer and block, whatever the depth and horizon; so a
 state block the engine yields is valid only until it yields the next.
@@ -54,7 +58,9 @@ nest of int or float pairs, through one flat float buffer.  One JSON writer
 stdout) and one CSV formatter write every file.  The writer takes complex
 arrays as they are and formats a vector or matrix from its floats, with one
 shared string for every ``+0.0`` pair; it streams the text, one array at a
-time.  Floats are written as their
+time.  :func:`load_model` reads a file exactly as :func:`save_model` writes
+it array by array, keeping each array only if it writes back to its own
+text, and parses any other file as JSON.  Floats are written as their
 shortest round-trip decimal and read back through a float-to-complex view,
 so round trips are bit-for-bit, signed zeros included.
 """
@@ -368,6 +374,9 @@ def _stability_gate(radius: float, strict: bool) -> None:
 _BLOCK = 1024
 #: Rows the engine scans by doubling; :func:`_scan` pairs longer runs first.
 _DOUBLING_ROWS = 64
+#: Columns per dense row of a mix the engine applies as a diagonal plus
+#: those rows, and so its narrowest such mix: see :func:`_diagonal_rows`.
+_STRUCTURED_WIDTH = 16
 
 
 def _scan(h: np.ndarray, a: np.ndarray, times, spare: np.ndarray) -> None:
@@ -393,6 +402,29 @@ def _scan(h: np.ndarray, a: np.ndarray, times, spare: np.ndarray) -> None:
         power, k = times(power.T, power.T).T, 2 * k
 
 
+def _diagonal_rows(mix: np.ndarray):
+    """``(diag, rows, dense)`` when the square ``mix`` is diagonal but for its
+    ``rows``, one per ``_STRUCTURED_WIDTH`` columns at most; else None.
+
+    ``diag`` is the diagonal and ``dense`` the transposed rows, so
+    ``h @ mix.T`` is ``h * diag`` with the columns ``rows`` replaced by
+    ``h @ dense``: O(m (k + 1)) per step for k rows instead of O(m^2).
+    On one BLAS thread, with one dense row and the finiteness check, the
+    two break even near m = 12 on 1024-step blocks and m = 24 on 64-step
+    ones; at m = 16 the structured product takes 0.8 and 1.4 times as long,
+    at m = 32 0.4 and 0.7, at m = 101 0.2.
+    """
+    m = len(mix)
+    if m < _STRUCTURED_WIDTH or mix.shape != (m, m):
+        return None
+    off = mix != 0
+    np.fill_diagonal(off, False)
+    rows = np.flatnonzero(off.any(axis=1))
+    if len(rows) > m // _STRUCTURED_WIDTH:
+        return None
+    return mix.diagonal().copy(), rows, mix[rows].T.copy()
+
+
 def _layer_blocks(states, mixes, drive: np.ndarray):
     """Run ``h_i(t) = A_i h_i(t-1) + B_i h_{i-1}(t)`` with h_0 = ``drive``.
 
@@ -403,6 +435,11 @@ def _layer_blocks(states, mixes, drive: np.ndarray):
     the block is halved until they stay finite at the largest |A_i|
     (absolute row sum, if dense).  So the products need no mask: no exact
     zero of a state meets an overflowed power.
+
+    A mix that is diagonal but for a few rows (:func:`_diagonal_rows`, decided
+    once per call) is applied as such to a block whose input is finite; a
+    block with an overflowed input takes the dense product, so that every
+    ``inf * 0`` makes the same ``nan`` as step by step.
 
     Layers write their states into two ``(block, m)`` buffers in turn and the
     scan its products into a third, all three allocated once per call, so a
@@ -416,6 +453,7 @@ def _layer_blocks(states, mixes, drive: np.ndarray):
     m = len(states[0])
     buffers = np.empty((3, min(block, len(drive)), m), dtype=complex)
     carries = np.zeros((len(states), m), dtype=complex)
+    sparse = [_diagonal_rows(mix) for mix in mixes]
     for start in range(0, len(drive), block):
         rows = slice(start, start + block)
         h = drive[rows]
@@ -425,7 +463,15 @@ def _layer_blocks(states, mixes, drive: np.ndarray):
             # The state may overflow as it does step by step, and so may the
             # square of the last power, which no step uses.
             with np.errstate(over="ignore", invalid="ignore"):
-                h = np.matmul(h, mix.T, out=buffers[i % 2, : len(h)])
+                out = buffers[i % 2, : len(h)]
+                # A sum is finite only if every entry of h is.
+                if sparse[i] is None or not np.isfinite(h.sum()):
+                    np.matmul(h, mix.T, out=out)
+                else:
+                    diag, dense_rows, dense = sparse[i]
+                    np.multiply(h, diag, out=out)
+                    out[:, dense_rows] = h @ dense
+                h = out
                 h[0] += times(carries[i], a.T)
                 _scan(h, a, times, buffers[2])
             carries[i] = h[-1]
@@ -708,7 +754,11 @@ def _replacing(path):
     block ends without error, so readers never see halves."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        # Name the file asked for, not the random temp name.
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             yield handle
@@ -725,17 +775,92 @@ def atomic_write_text(path, text: str) -> None:
         handle.write(text)
 
 
-def _read_json(path):
-    """The JSON value in the file at ``path``.
+def _read_text(path) -> str:
+    with open(path, "r") as handle:
+        return handle.read()
+
+
+def _parse_json(text: str, path):
+    """The JSON value ``text`` of the file at ``path``.
 
     Nesting deeper than the parser's recursion limit raises
     :class:`ShapeMismatch`, like any other malformed input.
     """
-    with open(path, "r") as handle:
-        try:
-            return json.load(handle)
-        except RecursionError as exc:
-            raise ShapeMismatch(f"{path}: JSON nested too deeply to parse") from exc
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ShapeMismatch(f"{path}: JSON nested too deeply to parse") from exc
+
+
+def _read_json(path):
+    """The JSON value in the file at ``path``, as :func:`_parse_json` reads it."""
+    return _parse_json(_read_text(path), path)
+
+
+# The text of a model file as save_model writes it, around its arrays:
+# the head, then per layer its state_diag and input_matrix, with the glue
+# between layers, then the read-out and the tail.
+_MODEL_HEAD = '{\n  "layers": [\n    {\n      "state_diag": '
+_MATRIX_GLUE = ',\n      "input_matrix": '
+_LAYER_GLUE = '\n    },\n    {\n      "state_diag": '
+_READ_OUT_GLUE = '\n    }\n  ],\n  "read_out": '
+_MODEL_TAIL = "\n}\n"
+#: Deletes the brackets and commas of an array's text, leaving its numbers.
+_PUNCTUATION = str.maketrans("", "", "[],")
+
+
+def _layout_array(chunk: str, pad: str, rows: int | None = None):
+    """The finite array whose :func:`_array_text` at ``pad`` is exactly
+    ``chunk``, a vector or a matrix of ``rows`` rows; None if there is none."""
+    tokens = chunk.translate(_PUNCTUATION).split()
+    if not tokens or len(tokens) % (2 * (rows or 1)):
+        return None
+    try:
+        arr = np.fromiter(map(float, tokens), float, len(tokens)).view(complex)
+    except ValueError:
+        return None
+    if rows is not None:
+        arr = arr.reshape(rows, -1)
+    if not np.isfinite(arr).all() or _array_text(arr, pad) != chunk:
+        return None
+    return arr
+
+
+def _layout_model(text: str):
+    """The model in ``text`` if it is exactly what :func:`save_model` writes
+    for some model, else None.
+
+    Array text holds no quote, so each array ends where the first glue
+    after it begins; each array must read back to its own text, so
+    ``json.loads(text)`` would hold exactly these floats.  Compact or hand
+    written files fail the first test, on the head, before any work.
+    """
+    if not (text.startswith(_MODEL_HEAD) and text.endswith(_MODEL_TAIL)):
+        return None
+    last = text.rfind(_READ_OUT_GLUE)  # read_out is the last key
+    start, layers = len(_MODEL_HEAD), []
+    if last < start:
+        return None
+    while start < last:
+        middle = text.find(_MATRIX_GLUE, start, last)
+        if middle < 0:
+            return None
+        end = text.find(_LAYER_GLUE, middle, last)
+        end, after = (last, _READ_OUT_GLUE) if end < 0 else (end, _LAYER_GLUE)
+        diag = _layout_array(text[start:middle], "\n      ")
+        if diag is None:
+            return None
+        matrix = _layout_array(text[middle + len(_MATRIX_GLUE) : end], "\n      ", len(diag))
+        if matrix is None:
+            return None
+        layers.append((diag, matrix))
+        start = end + len(after)
+    if start != last + len(_READ_OUT_GLUE):
+        return None
+    read_out = _layout_array(text[start : -len(_MODEL_TAIL)], "\n  ")
+    if read_out is None:
+        return None
+    return DeepLinearSSM(tuple(LayerParams(*layer) for layer in layers), read_out)
 
 
 def save_model(model: DeepLinearSSM, path) -> None:
@@ -743,7 +868,15 @@ def save_model(model: DeepLinearSSM, path) -> None:
 
 
 def load_model(path) -> DeepLinearSSM:
-    return model_from_json_dict(_read_json(path))
+    """The model in the file at ``path``.
+
+    A file exactly as :func:`save_model` writes it is read array by array
+    (:func:`_layout_model`); any other is parsed as JSON and read by
+    :func:`model_from_json_dict`, which refuses what is malformed.
+    """
+    text = _read_text(path)
+    model = _layout_model(text)
+    return model_from_json_dict(_parse_json(text, path)) if model is None else model
 
 
 def save_dense(dense: DenseSSM, path) -> None:

@@ -396,6 +396,17 @@ class TestErrorPaths:
              "--output", str(tmp_path / "k.csv")]
         ) == 2
 
+    def test_unwritable_output_names_the_requested_path(self, tmp_path, capsys):
+        # The temp file beside the output gets a random name; the error must not.
+        model = write_model(random_model(d.seeded_rng(3), 1, 2), tmp_path / "m.json")
+        target = str(tmp_path / "missing" / "k.csv")
+        errors = []
+        for _ in range(2):
+            assert cli.run(["kernel", "--input", model, "--output", target]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: [Errno 2] No such file or directory: {target!r}\n"
+        assert not (tmp_path / "missing").exists()
+
     def test_malformed_model_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\"layers\": []}")

@@ -325,3 +325,159 @@ def test_student_round_trip_is_bit_exact(tmp_path):
         np.testing.assert_array_equal(bits(a.state_diag), bits(b.state_diag))
         np.testing.assert_array_equal(bits(a.input_matrix), bits(b.input_matrix))
     np.testing.assert_array_equal(bits(again.read_out), bits(model.read_out))
+
+
+# The model reader against the JSON parser it skips.  ``load_model`` reads a
+# file exactly as ``save_model`` writes it array by array; every other text
+# must give what ``model_from_json_dict(json.loads(text))`` gives: the same
+# bits, or the same exception class and message.
+READER_VALUES = [-0.0, complex(0.0, -0.0), 5e-324, complex(-5e-324, 1e16), 1e16, 3.0]
+
+
+def outcome(load):
+    """The bits of every array of ``load()``'s model, or its exception."""
+    try:
+        model = load()
+    except (d.DeepSsmError, ValueError) as exc:
+        return type(exc), str(exc)
+    arrays = [a for layer in model.layers for a in (layer.state_diag, layer.input_matrix)]
+    return [bits(a).tolist() for a in [*arrays, model.read_out]]
+
+
+def saved_text(tmp_path, model):
+    d.save_model(model, tmp_path / "saved.json")
+    return (tmp_path / "saved.json").read_text()
+
+
+def relaid(text, change):
+    """``text`` parsed, changed in place by ``change`` and written back as
+    ``json.dumps(indent=2)`` does: the writer's layout around other content."""
+    data = json.loads(text)
+    change(data)
+    return json.dumps(data, indent=2) + "\n"
+
+
+def float_token(text, draw):
+    """Span of one number of ``text``, drawn among its first 200."""
+    head = text[:20000]
+    starts = [k for k in range(1, len(head)) if head[k - 1] == " " and head[k] in "-0123456789"]
+    start = draw(st.sampled_from(starts[:200]))
+    end = start
+    while text[end] not in ",\n":
+        end += 1
+    return start, end
+
+
+def respelled(spellings):
+    def mutate(text, draw):
+        start, end = float_token(text, draw)
+        return text[:start] + draw(st.sampled_from(spellings)) + text[end:]
+
+    return mutate
+
+
+# Numbers as JSON spells them otherwise, or not at all; Python's float()
+# takes most of them.
+INT_SPELLINGS = ["0", "3", "-0", "1"]
+NON_FINITE_SPELLINGS = ["NaN", "Infinity", "-Infinity", "nan", "inf", "1e999"]
+PYTHON_SPELLINGS = ["1_0.0", "+1.0", "0x1p3", "1.0\u00a0", "true", '"1.0"', "١.0"]
+
+
+def space_added(text, draw):
+    k = draw(st.integers(0, len(text)))
+    return text[:k] + draw(st.sampled_from([" ", "\n"])) + text[k:]
+
+
+def space_dropped(text, draw):
+    k = draw(st.sampled_from([k for k, c in enumerate(text[:20000]) if c in " \n"]))
+    return text[:k] + text[k + 1 :]
+
+
+def reordered_layer(data):
+    data["layers"][-1] = dict(reversed(list(data["layers"][-1].items())))
+
+
+def ragged(data):
+    # Moves a pair from one row to another: the pair count still fits.
+    rows = data["layers"][-1]["input_matrix"]
+    rows[-1].append(rows[0].pop())
+
+
+MUTATIONS = {
+    "none": lambda text, draw: text,
+    "compact": lambda text, draw: json.dumps(json.loads(text)),
+    "no-final-newline": lambda text, draw: text[:-1],
+    "space-added": space_added,
+    "space-dropped": space_dropped,
+    "float-respelled": lambda text, draw: text.replace(
+        "1e+16", draw(st.sampled_from(["1e16", "10000000000000000.0", "1E+16"])), 1
+    ),
+    "int-for-float": respelled(INT_SPELLINGS),
+    "non-finite": respelled(NON_FINITE_SPELLINGS),
+    "python-only": respelled(PYTHON_SPELLINGS),
+    "truncated": lambda text, draw: text[: draw(st.integers(0, len(text) - 1))],
+    "extra-key": lambda text, draw: relaid(text, lambda data: data["layers"][0].update(x=1)),
+    "extra-top-key": lambda text, draw: relaid(text, lambda data: data.update(x=[])),
+    "reordered-layer-keys": lambda text, draw: relaid(text, reordered_layer),
+    "read-out-first": lambda text, draw: relaid(
+        text, lambda data: data.update(layers=data.pop("layers"))
+    ),
+    "ragged-row": lambda text, draw: relaid(text, ragged),
+    "layer-dropped": lambda text, draw: relaid(text, lambda data: data["layers"].pop(0)),
+    "no-layers": lambda text, draw: relaid(text, lambda data: data["layers"].clear()),
+}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    depth=st.integers(1, 3),
+    width=st.sampled_from([1, 2, 3, 101]),
+    mutation=st.sampled_from(sorted(MUTATIONS)),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_model_reader_is_model_from_json_dict(tmp_path_factory, depth, width, mutation, seed, data):
+    tmp_path = tmp_path_factory.getbasetemp()
+    rng = np.random.default_rng(seed)
+    if mutation == "ragged-row" and (depth == 1 or width == 1):
+        depth, width = 2, 3
+    model = special_model(rng, depth, width, values=READER_VALUES)
+    text = MUTATIONS[mutation](saved_text(tmp_path, model), data.draw)
+    path = tmp_path / "mutated.json"
+    path.write_text(text)
+    want = outcome(lambda: d.model_from_json_dict(json.loads(text)))
+    assert outcome(lambda: d.load_model(path)) == want
+
+
+@pytest.mark.parametrize("spelling", INT_SPELLINGS + NON_FINITE_SPELLINGS + PYTHON_SPELLINGS)
+@pytest.mark.parametrize("array", ["state_diag", "input_matrix", "read_out"])
+def test_model_reader_on_each_spelling(tmp_path, spelling, array):
+    # The first real part of the first layer's array, or of the read-out.
+    text = saved_text(tmp_path, random_model(np.random.default_rng(5), 2, 3))
+    start = text.index("[", text.index(f'"{array}"'))
+    start = text.index("[", start + 1) if array == "input_matrix" else start
+    start = text.index(" ", text.index("[", start + 1) + 1)
+    while text[start] == " ":
+        start += 1
+    end = text.index(",", start)
+    text = text[:start] + spelling + text[end:]
+    (tmp_path / "respelled.json").write_text(text)
+    want = outcome(lambda: d.model_from_json_dict(json.loads(text)))
+    assert outcome(lambda: d.load_model(tmp_path / "respelled.json")) == want
+
+
+def test_saved_files_skip_the_parser_and_others_the_layout(tmp_path, monkeypatch):
+    model = special_model(np.random.default_rng(7), 3, 101, values=READER_VALUES)
+    text = saved_text(tmp_path, model)
+    (tmp_path / "compact.json").write_text(json.dumps(json.loads(text)))
+    want = outcome(lambda: model)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("not the path expected")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(d.core.json, "loads", refuse)
+        assert outcome(lambda: d.load_model(tmp_path / "saved.json")) == want
+    # A compact file is refused on its first bytes, before any array is read.
+    monkeypatch.setattr(d.core, "_layout_array", refuse)
+    assert outcome(lambda: d.load_model(tmp_path / "compact.json")) == want

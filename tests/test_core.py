@@ -19,7 +19,7 @@ from conftest import (
     sequential_response,
     sequential_states,
 )
-from deepssm.core import _BLOCK, _layer_blocks, _stack
+from deepssm.core import _BLOCK, _STRUCTURED_WIDTH, _diagonal_rows, _layer_blocks, _stack
 
 
 def worked_two_layer_example():
@@ -601,3 +601,63 @@ def test_package_names_are_the_modules_names():
     for module in modules:
         for name in module.__all__:
             assert getattr(d, name) is getattr(module, name)
+
+
+class TestStructuredMixes:
+    """Mixes that are diagonal but for a few dense rows, as every layer past the
+    first of a factorized student is, against the step-by-step recurrence."""
+
+    def test_the_rule_is_fixed_by_width_and_dense_rows(self):
+        def mix(width, dense_rows):
+            out = np.diag(np.arange(1.0, width + 1))
+            out[width - dense_rows :] = 1.0
+            return out
+
+        assert _diagonal_rows(mix(_STRUCTURED_WIDTH - 1, 1)) is None
+        diag, rows, dense = _diagonal_rows(mix(_STRUCTURED_WIDTH, 1))
+        assert rows.tolist() == [_STRUCTURED_WIDTH - 1]
+        assert dense.shape == (_STRUCTURED_WIDTH, 1)
+        assert _diagonal_rows(mix(_STRUCTURED_WIDTH, 2)) is None
+        assert _diagonal_rows(mix(2 * _STRUCTURED_WIDTH, 2)) is not None
+        assert _diagonal_rows(np.ones((_STRUCTURED_WIDTH, 1))) is None
+
+    def test_wide_student_over_three_blocks(self):
+        # 8 * 15 + 1 modes make a width-16 student; each of its layers past the
+        # first takes the structured product.
+        teacher = d.sample_teacher(8 * (_STRUCTURED_WIDTH - 1) + 1, 2.0, d.seeded_rng(65))
+        student, _ = d.factorize(teacher, 8)
+        assert student.width == _STRUCTURED_WIDTH
+        states, mixes = _stack(student)
+        assert all(_diagonal_rows(mix) is not None for mix in mixes[1:])
+        horizon = 2 * _BLOCK + 3
+        x = d.seeded_rng(66).standard_normal(horizon)
+        want = sequential_response(states, mixes, student.read_out, x)
+        assert rel_err(d.simulate(student, x), want) <= 1e-12
+
+    def test_overflowed_input_takes_the_dense_product(self):
+        # Channel 0 of layer 1 grows as 1.9**t and overflows in the second
+        # block.  Layer 2 reads it only through its dense last row, yet step by
+        # step inf * 0 turns every channel of layer 2 nan from there on, and
+        # so must the engine.  The read-out sees every channel either way.
+        m = _STRUCTURED_WIDTH
+        first = d.LayerParams(np.r_[1.9, np.full(m - 1, 0.5)], np.ones((m, 1)))
+        mix = np.diag(np.r_[0.0, np.full(m - 1, 0.25)])
+        mix[-1] = 1.0
+        assert _diagonal_rows(mix) is not None
+        second = d.LayerParams(np.full(m, 0.5), mix)
+        model = d.DeepLinearSSM((first, second), np.eye(m)[1])
+        horizon = 2 * _BLOCK
+        impulse = np.eye(horizon, 1)[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = sequential_states(*_stack(model), impulse)
+            taps = sequential_response(*_stack(model), model.read_out, impulse)
+        for got, layer in zip(d.fit._trajectories(*_stack(model), impulse[:, None]), want):
+            assert_matches_oracle(got, layer)
+        assert not np.isfinite(want[1][-1]).any()
+        first_bad = int(np.argmin(np.isfinite(taps)))
+        assert _BLOCK < first_bad < horizon
+        with pytest.warns(d.StabilityWarning):
+            assert_matches_oracle(d.simulate(model, impulse), taps)
+        with pytest.warns(d.StabilityWarning), pytest.raises(d.NumericalError) as error:
+            d.kernel_by_simulation(model, horizon)
+        assert str(error.value) == f"kernel tap {first_bad} overflowed to {taps[first_bad]}"

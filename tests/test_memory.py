@@ -3,7 +3,7 @@
 numpy reports its buffers to tracemalloc, so a peak here counts every array
 a call allocates, not only Python objects.  Each bound sits well above what
 the call needs and well below what a K x K pair check, per-layer engine
-arrays or a whole-file JSON text would take.
+arrays, a whole-file JSON text or a whole-file parse would take.
 """
 
 import tracemalloc
@@ -51,3 +51,10 @@ def test_simulation_scratch_does_not_grow_with_the_horizon(student, horizon):
 def test_model_json_is_written_one_array_at_a_time(student, tmp_path):
     # The student's JSON is 6.7 MB; the text of its largest array is under 1 MB.
     assert peak_bytes(lambda: d.save_model(student, tmp_path / "student.json")) < 4 * MIB
+
+
+def test_saved_model_is_read_one_array_at_a_time(student, tmp_path):
+    # The 6.7 MB text is held once; beside it only the numbers of one array
+    # are, not a Python list and two floats for every [re, im] pair.
+    d.save_model(student, tmp_path / "student.json")
+    assert peak_bytes(lambda: d.load_model(tmp_path / "student.json")) < 16 * MIB
