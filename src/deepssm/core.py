@@ -58,9 +58,9 @@ nest of int or float pairs, through one flat float buffer.  One JSON writer
 stdout) and one CSV formatter write every file.  The writer takes complex
 arrays as they are and formats a vector or matrix from its floats, with one
 shared string for every ``+0.0`` pair; it streams the text, one array at a
-time.  :func:`load_model` reads a file exactly as :func:`save_model` writes
-it array by array, keeping each array only if it writes back to its own
-text, and parses any other file as JSON.  Floats are written as their
+time.  :func:`load_model` reads the numbers of a file laid out as
+:func:`save_model` writes, and keeps the model only if writing it back gives
+the same text; it parses any other file as JSON.  Floats are written as their
 shortest round-trip decimal and read back through a float-to-complex view,
 so round trips are bit-for-bit, signed zeros included.
 """
@@ -72,7 +72,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field, is_dataclass
 
@@ -80,6 +79,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    InputError,
     NumericalError,
     ShapeMismatch,
     StabilityWarning,
@@ -754,8 +754,13 @@ def _replacing(path):
     block ends without error, so readers never see halves."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
+    # A random name beside the file, which O_EXCL refuses if taken; the mode
+    # is 0o666 less the umask, as open(path, "w") would make it.  Binary, as
+    # the handle writes every newline itself.
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd = os.open(tmp, flags, 0o666)
     except OSError as exc:
         # Name the file asked for, not the random temp name.
         raise OSError(exc.errno, exc.strerror, path) from exc
@@ -797,70 +802,50 @@ def _read_json(path):
     return _parse_json(_read_text(path), path)
 
 
-# The text of a model file as save_model writes it, around its arrays:
-# the head, then per layer its state_diag and input_matrix, with the glue
-# between layers, then the read-out and the tail.
-_MODEL_HEAD = '{\n  "layers": [\n    {\n      "state_diag": '
-_MATRIX_GLUE = ',\n      "input_matrix": '
-_LAYER_GLUE = '\n    },\n    {\n      "state_diag": '
-_READ_OUT_GLUE = '\n    }\n  ],\n  "read_out": '
-_MODEL_TAIL = "\n}\n"
-#: Deletes the brackets and commas of an array's text, leaving its numbers.
-_PUNCTUATION = str.maketrans("", "", "[],")
+#: Deletes what a value's text holds besides its numbers.
+_PUNCTUATION = str.maketrans("", "", "[]{},:")
 
 
-def _layout_array(chunk: str, pad: str, rows: int | None = None):
-    """The finite array whose :func:`_array_text` at ``pad`` is exactly
-    ``chunk``, a vector or a matrix of ``rows`` rows; None if there is none."""
+def _layout_array(chunk: str) -> np.ndarray:
+    """The numbers of ``chunk``, a value's text, read as ``[re, im]`` pairs;
+    ValueError if any is no float or one is left unpaired."""
     tokens = chunk.translate(_PUNCTUATION).split()
-    if not tokens or len(tokens) % (2 * (rows or 1)):
-        return None
-    try:
-        arr = np.fromiter(map(float, tokens), float, len(tokens)).view(complex)
-    except ValueError:
-        return None
-    if rows is not None:
-        arr = arr.reshape(rows, -1)
-    if not np.isfinite(arr).all() or _array_text(arr, pad) != chunk:
-        return None
-    return arr
+    return np.fromiter(map(float, tokens), float, len(tokens)).view(complex)
 
 
 def _layout_model(text: str):
-    """The model in ``text`` if it is exactly what :func:`save_model` writes
-    for some model, else None.
+    """The model in ``text`` if ``text`` is exactly what :func:`save_model`
+    writes for it, else None.
 
-    Array text holds no quote, so each array ends where the first glue
-    after it begins; each array must read back to its own text, so
-    ``json.loads(text)`` would hold exactly these floats.  Compact or hand
-    written files fail the first test, on the head, before any work.
+    Numbers hold no quote, so the text after each quoted key up to the next
+    is that key's value: a matrix takes its row count from its layer's
+    ``state_diag``.  The model is kept only if writing it back gives
+    ``text`` piece by piece, so an accepted text *is* its saved file.
+    Compact or hand-written files fail the first test, before any work.
     """
-    if not (text.startswith(_MODEL_HEAD) and text.endswith(_MODEL_TAIL)):
+    if not text.startswith('{\n  "layers": [\n'):
         return None
-    last = text.rfind(_READ_OUT_GLUE)  # read_out is the last key
-    start, layers = len(_MODEL_HEAD), []
-    if last < start:
+    arrays, end = [], text.find('"')
+    try:
+        while end >= 0:
+            start = text.find('"', end + 1) + 1  # just past the key
+            if not start:
+                return None
+            end = text.find('"', start)
+            arrays.append(_layout_array(text[start : end if end >= 0 else None]))
+        layers = [
+            LayerParams(diag, matrix.reshape(len(diag), -1))
+            for diag, matrix in zip(arrays[1:-1:2], arrays[2:-1:2])
+        ]
+        model = DeepLinearSSM(tuple(layers), arrays[-1])
+    except (InputError, ValueError):
         return None
-    while start < last:
-        middle = text.find(_MATRIX_GLUE, start, last)
-        if middle < 0:
+    at = 0
+    for piece in itertools.chain(_json_chunks(_model_dict(model, np.asarray)), ["\n"]):
+        if not text.startswith(piece, at):
             return None
-        end = text.find(_LAYER_GLUE, middle, last)
-        end, after = (last, _READ_OUT_GLUE) if end < 0 else (end, _LAYER_GLUE)
-        diag = _layout_array(text[start:middle], "\n      ")
-        if diag is None:
-            return None
-        matrix = _layout_array(text[middle + len(_MATRIX_GLUE) : end], "\n      ", len(diag))
-        if matrix is None:
-            return None
-        layers.append((diag, matrix))
-        start = end + len(after)
-    if start != last + len(_READ_OUT_GLUE):
-        return None
-    read_out = _layout_array(text[start : -len(_MODEL_TAIL)], "\n  ")
-    if read_out is None:
-        return None
-    return DeepLinearSSM(tuple(LayerParams(*layer) for layer in layers), read_out)
+        at += len(piece)
+    return model if at == len(text) else None
 
 
 def save_model(model: DeepLinearSSM, path) -> None:
@@ -870,7 +855,7 @@ def save_model(model: DeepLinearSSM, path) -> None:
 def load_model(path) -> DeepLinearSSM:
     """The model in the file at ``path``.
 
-    A file exactly as :func:`save_model` writes it is read array by array
+    A file exactly as :func:`save_model` writes it is read by its numbers
     (:func:`_layout_model`); any other is parsed as JSON and read by
     :func:`model_from_json_dict`, which refuses what is malformed.
     """

@@ -65,8 +65,14 @@ def _array(value, name: str, rank: int, rows: int | None = None, *, square=False
     try:
         arr = np.asarray(value)
         # Not bools, strings or dates, nor None, which numpy would make nan.
-        kind = arr.dtype.kind
-        if not (kind in "iufc" or kind == "O" and all(isinstance(v, Number) for v in arr.flat)):
+        # An ndarray's dtype tells; in any other value numpy would make a bool
+        # among numbers 1, so every entry's type is looked at.
+        if isinstance(value, np.ndarray) and arr.dtype.kind != "O":
+            numeric = arr.dtype.kind in "iufc"
+        else:
+            kinds = set(map(type, np.asarray(value, dtype=object).flat))
+            numeric = all(issubclass(k, Number) and k not in (bool, np.bool_) for k in kinds)
+        if not numeric:
             raise TypeError
         arr = arr.astype(complex)
     except (TypeError, ValueError):

@@ -99,6 +99,8 @@ def bad_values(valid, rank, width):
         ("huge-int", with_first_entry(valid, 10**400), d.DomainError),
         ("none-entry", with_first_entry(valid, None), d.ShapeMismatch),
         ("string-entry", with_first_entry(valid, "0.5"), d.ShapeMismatch),
+        ("bool-entry", with_first_entry(valid, True), d.ShapeMismatch),
+        ("numpy-bool-entry", with_first_entry(valid, np.True_), d.ShapeMismatch),
         ("rank-up", np.stack([valid, valid], axis=-1), d.ShapeMismatch),
         ("ragged", [[1.0], [1.0, 2.0]], d.ShapeMismatch),
         ("string", "ab", d.ShapeMismatch),

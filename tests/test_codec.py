@@ -8,6 +8,8 @@ exception classes as before.
 """
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -481,3 +483,42 @@ def test_saved_files_skip_the_parser_and_others_the_layout(tmp_path, monkeypatch
     # A compact file is refused on its first bytes, before any array is read.
     monkeypatch.setattr(d.core, "_layout_array", refuse)
     assert outcome(lambda: d.load_model(tmp_path / "compact.json")) == want
+
+
+@pytest.fixture(scope="module")
+def student():
+    """The benchmark's student: 1201 modes factorized to depth 12, width 101."""
+    return d.factorize(d.sample_teacher(1201, 2.0, d.seeded_rng(1)), 12)[0]
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 4), (3, 1), (4, 5), "student"], ids=["depth-1", "width-1", "4x5", "student"]
+)
+def test_every_saved_shape_skips_the_parser(tmp_path, monkeypatch, request, shape):
+    # A silent fallback to json.loads would give the same model, only slower.
+    if shape == "student":
+        model = request.getfixturevalue("student")
+    else:
+        model = special_model(np.random.default_rng(shape), *shape, values=READER_VALUES)
+    d.save_model(model, tmp_path / "saved.json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a saved file went to the JSON parser")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(d.core.json, "loads", refuse)
+        got = outcome(lambda: d.load_model(tmp_path / "saved.json"))
+    assert got == outcome(lambda: model)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    # As open(path, "w") would make them, not the 0600 of a temp file.
+    before = os.umask(umask)
+    try:
+        d.atomic_write_text(tmp_path / "kernel.csv", "t,re,im\n")
+        d.save_model(random_model(np.random.default_rng(0), 2, 3), tmp_path / "model.json")
+    finally:
+        os.umask(before)
+    for name in ("kernel.csv", "model.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
