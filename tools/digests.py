@@ -173,13 +173,13 @@ def manifest() -> dict:
 
 
 def main() -> int:
-    start, scratch = os.getcwd(), tempfile.mkdtemp(prefix="deepssm-digests-")
+    start, workdir = os.getcwd(), tempfile.mkdtemp(prefix="deepssm-digests-")
     try:
-        os.chdir(scratch)
+        os.chdir(workdir)
         result = manifest()
     finally:
         os.chdir(start)
-        shutil.rmtree(scratch)
+        shutil.rmtree(workdir)
     json.dump(result, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
